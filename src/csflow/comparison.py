@@ -220,6 +220,19 @@ def _a_root(d: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.exp(th)
 
 
+def _validate_pairs(d: np.ndarray, ell: np.ndarray) -> None:
+    """The chord/arc domain of a_solve: 0 < d <= ell*(1 + 1e-9), ell in (0, pi]."""
+    if np.any(d <= 0.0):
+        raise DomainError("chord length must be positive")
+    if np.any(ell <= 0.0) or np.any(ell > math.pi * (1.0 + 1e-9)):
+        raise DomainError("arc length must lie in (0, pi]")
+    if np.any(d > ell * (1.0 + 1e-9)):
+        i = int(np.argmax(d - ell))
+        raise DomainError(
+            "chord exceeds arc", d=float(d.flat[i]), ell=float(ell.flat[i])
+        )
+
+
 def a_solve(d, ell):
     """Ratio a >= 0 solving d = f(ell, -log a) for a chord/arc pair.
 
@@ -244,21 +257,64 @@ def a_solve(d, ell):
     d_arr, ell_arr = np.broadcast_arrays(
         np.asarray(d, dtype=float), np.asarray(ell, dtype=float)
     )
-    if np.any(d_arr <= 0.0):
-        raise DomainError("chord length must be positive")
-    if np.any(ell_arr <= 0.0) or np.any(ell_arr > math.pi * (1.0 + 1e-9)):
-        raise DomainError("arc length must lie in (0, pi]")
-    if np.any(d_arr > ell_arr * (1.0 + 1e-9)):
-        i = int(np.argmax(d_arr - ell_arr))
-        raise DomainError(
-            "chord exceeds arc", d=float(d_arr.flat[i]), ell=float(ell_arr.flat[i])
-        )
+    _validate_pairs(d_arr, ell_arr)
     u = np.sin(0.5 * ell_arr)
     out = np.zeros_like(d_arr)
     active = d_arr < 2.0 * u
     if np.any(active):
         out[active] = _a_root(d_arr[active], u[active])
     return _maybe_scalar(out, scalar)
+
+
+def _psi_table() -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate psi, the inverse of r(z) = arctan(z)/z, for np.interp.
+
+    Abscissae are the logit log(r/(1 - r)) in ascending order, ordinates
+    log z. Both tails are nearly straight in these coordinates (slopes -1/2
+    and -1), so the sinh spacing puts the points where the curve bends,
+    around z = 1; linear interpolation is then good to about 2e-6 in log z.
+    """
+    log_z = 10.0 * np.sinh(np.linspace(math.asinh(-2.0), math.asinh(70.0), 8192))
+    z = np.exp(log_z)
+    atan = np.arctan(z)
+    gap = z - atan  # = z (1 - r); cancels for small z, so use its series
+    small = z < 1e-2
+    zs = z[small]
+    gap[small] = zs**3 * (1.0 / 3.0 - zs**2 * (1.0 / 5.0 - zs**2 / 7.0))
+    logit = np.log(atan) - np.log(gap)
+    return logit[::-1].copy(), log_z[::-1].copy()
+
+
+_PSI_LOGIT, _PSI_LOG_Z = _psi_table()
+
+# Relative slack of the prune test phi(A, u) >= d. Rounding in phi is a few
+# ulp, so a pair whose root lies at or above A may read phi(A, u) below d by
+# about 1e-15 d; this slack keeps such a pair.
+_PRUNE_SLACK = 1e-13
+
+
+def _sup_a(d: np.ndarray, ell: np.ndarray) -> tuple[int, float, int]:
+    """Flat argmax, maximum and active count of a_solve(d, ell).
+
+    Bit for bit the same as np.argmax, max and np.count_nonzero of
+    a_solve(d, ell), with the same DomainErrors, but roots are solved only
+    for a pivot and the pairs that survive its prune (see profile).
+    """
+    _validate_pairs(d, ell)
+    u = np.sin(0.5 * ell)
+    active = np.flatnonzero(d < 2.0 * u)
+    if active.size == 0:
+        return 0, 0.0, 0
+    d_act, u_act = d[active], u[active]
+    # a u = psi(d / 2u), and the logit of d / 2u is log d - log(2u - d)
+    logit = np.log(d_act) - np.log(2.0 * u_act - d_act)
+    log_a_est = np.interp(logit, _PSI_LOGIT, _PSI_LOG_Z) - np.log(u_act)
+    p = int(np.argmax(log_a_est))
+    floor = _a_root(d_act[p : p + 1], u_act[p : p + 1])[0] * (1.0 - 1e-9)
+    keep = np.flatnonzero(_phi(floor, u_act) >= d_act * (1.0 - _PRUNE_SLACK))
+    roots = _a_root(d_act[keep], u_act[keep])
+    k = int(np.argmax(roots))
+    return int(active[keep[k]]), float(roots[k]), int(active.size)
 
 
 def a_diagonal(k):
@@ -339,6 +395,25 @@ def profile(
     ``offset`` is given, also evaluates Z over all pairs at time ``t`` and
     records the minimum.
 
+    The off-diagonal supremum solves a root for almost no pair. A pair is
+    active when d < 2u, u = sin(l/2); the others have a = 0. Because
+    phi(a, u) = 2 arctan(a u)/a is strictly decreasing in a, a pair's root
+    lies at or above A exactly when phi(A, u) >= d, so one evaluation of phi
+    tells whether a pair can reach A. The pivot is the active pair with the
+    largest estimate a u = psi(d/2u), psi the inverse of arctan(z)/z read off
+    a fixed table; the estimate only picks the pivot. Its root a_p, solved as
+    a_solve would, sets A = a_p (1 - 1e-9), and only pairs that pass the test
+    at A get their root, in ascending pair order with the same elementwise
+    solver, so ties still go to the first pair.
+
+    Why no pair that holds the maximum M >= a_p is dropped: its computed
+    root lies in the solver's final bracket [lo, hi], under 3e-12 wide in
+    log a, and lo is either the analytic lower bound of the root or a point
+    where the computed phi exceeded d. Either way lo > A, so phi(A, u) >=
+    phi(lo, u) >= d up to a few ulp of rounding in phi, which the test's
+    1e-13 relative slack absorbs. The result therefore equals a_solve over
+    all pairs followed by argmax and count, bit for bit.
+
     Returns
     -------
     ProfileSummary
@@ -349,16 +424,14 @@ def profile(
         )
     i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
     ell = np.minimum(ell, math.pi)  # shorter arc; clip the L/2 rounding hair
-    a_off = a_solve(d, ell)
+    im_off, off_max, n_active = _sup_a(d, ell)
     # Discrete curvature carries rounding noise of order 1e-12 around k = 1,
     # which sqrt(k^2 - 1) would inflate to ~1e-6; values of k^2 - 1 below the
     # measurement floor read as exactly round (a circle must profile to 0).
     k = frame.curvature
     a_diag = np.where(k * k - 1.0 <= _DIAG_NOISE_FLOOR, 0.0, a_diagonal(k))
 
-    im_off = int(np.argmax(a_off))
     im_diag = int(np.argmax(a_diag))
-    off_max = float(a_off[im_off])
     diag_max = float(a_diag[im_diag])
     if diag_max >= off_max:
         a_bar, attained = diag_max, (im_diag, im_diag)
@@ -381,7 +454,7 @@ def profile(
         attained=attained,
         diagonal_max=diag_max,
         offdiagonal_max=off_max,
-        n_active=int(np.count_nonzero(a_off)),
+        n_active=n_active,
         saturated=bool(a_bar >= 0.999 * A_CAP),
         min_z=min_z,
         min_z_pair=min_z_pair,

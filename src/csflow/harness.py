@@ -56,7 +56,13 @@ from .dynamics import (
     run,
     step_normalized,
 )
-from .errors import ConfigError, GenerationFailure, NotEmbedded
+from .errors import (
+    ConfigError,
+    DegenerateCurve,
+    GenerationFailure,
+    NotEmbedded,
+    ResampleFailure,
+)
 from .geometry import (
     DiscreteCurve,
     all_pairs_chord_arc,
@@ -121,23 +127,31 @@ def gen_dumbbell(neck: float = 0.2, n: int = 512) -> DiscreteCurve:
     Single-valued polar profile r(theta)^2 = c^2 cos(2 theta)
     + sqrt(1 - c^4 sin^2(2 theta)) (a Cassini oval), with c chosen so the
     waist half-width is ``neck`` times the lobe half-length; resampled to
-    uniform arclength.
+    uniform arclength. A neck too thin for the dense sampling (about 1e-8
+    and below, where c rounds to 1 and the waist collapses onto the origin)
+    raises GenerationFailure.
     """
     if not (0.0 < neck < 1.0):
         raise ConfigError(f"neck must lie in (0, 1), got {neck}")
     c2 = (1.0 - neck**2) / (1.0 + neck**2)
     theta = TWO_PI * np.arange(8192) / 8192
+    # rounding can leave the radicand a hair below 0 where the waist pinches
     r = np.sqrt(
-        c2 * np.cos(2.0 * theta)
-        + np.sqrt(np.maximum(1.0 - c2**2 * np.sin(2.0 * theta) ** 2, 0.0))
+        np.maximum(
+            c2 * np.cos(2.0 * theta)
+            + np.sqrt(np.maximum(1.0 - c2**2 * np.sin(2.0 * theta) ** 2, 0.0)),
+            0.0,
+        )
     )
-    dense = DiscreteCurve(
-        np.column_stack([r * np.cos(theta), r * np.sin(theta)]), name="dumbbell"
-    )
-    out = resample_uniform(dense, n)
-    if not is_embedded(out):
-        raise GenerationFailure("dumbbell sampling self-intersects", neck=neck, n=n)
-    return out
+    try:
+        dense = DiscreteCurve(
+            np.column_stack([r * np.cos(theta), r * np.sin(theta)]), name="dumbbell"
+        )
+        return resample_uniform(dense, n)
+    except (DegenerateCurve, ResampleFailure) as exc:
+        raise GenerationFailure(
+            f"dumbbell sampling failed: {exc}", neck=neck, n=n
+        ) from exc
 
 
 def gen_fourier(seed: int = 1, modes: int = 6, n: int = 512) -> DiscreteCurve:

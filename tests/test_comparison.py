@@ -30,11 +30,15 @@ from csflow import (
     gen_circle,
     gen_dumbbell,
     gen_ellipse,
+    gen_fourier,
     h_eval,
     h_second,
     profile,
     z_eval,
 )
+from csflow import comparison
+from csflow.comparison import _DIAG_NOISE_FLOOR, _a_root, _sup_a
+from csflow.geometry import all_pairs_chord_arc
 
 # root of 2 arctan(a)/a = 1, i.e. a_solve(d=1, ell=pi); computed with an
 # independent scipy.optimize.brentq solve of the defining relation
@@ -302,6 +306,145 @@ def test_profile_z_against_own_offset_is_nonnegative():
     # the offset was built from this very curve, so Z >= 0 with equality
     # approached at the attaining pair
     assert again.min_z >= -1e-13
+
+
+# -- the pruned supremum against the all-roots oracle ----------------------------
+
+
+def _sup_a_all_roots(d, ell):
+    """The old supremum: a root for every pair, then argmax and count."""
+    a = a_solve(d, ell)
+    im = int(np.argmax(a))
+    return im, float(a[im]), int(np.count_nonzero(a))
+
+
+def _profile_all_roots(frame):
+    """The old profile's a_bar, attained pair, off-diagonal max and n_active."""
+    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
+    im, off_max, n_active = _sup_a_all_roots(d, np.minimum(ell, math.pi))
+    k = frame.curvature
+    a_diag = np.where(k * k - 1.0 <= _DIAG_NOISE_FLOOR, 0.0, a_diagonal(k))
+    i_diag = int(np.argmax(a_diag))
+    if a_diag[i_diag] >= off_max:
+        return float(a_diag[i_diag]), (i_diag, i_diag), off_max, n_active
+    return off_max, (int(i_idx[im]), int(j_idx[im])), off_max, n_active
+
+
+def _pairs_from_roots(a, ell):
+    """Chords whose ratio is a at arc ell: d = phi(a) = 2 arctan(a u)/a."""
+    u = np.sin(ell / 2)
+    return 2.0 * np.arctan(a * u) / a
+
+
+@st.composite
+def chord_arc_arrays(draw):
+    """Synthetic (d, ell) arrays: active pairs over 12 decades of a, some of
+    them sharing one root across many arcs (near-ties), inactive pairs,
+    exact duplicates (ties), and pairs that saturate at A_CAP."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_active = draw(st.integers(0, 300))
+    lo, hi = sorted(draw(st.lists(st.floats(-7.0, 5.0), min_size=2, max_size=2)))
+    ell = rng.uniform(1e-3, math.pi, n_active)
+    a = 10.0 ** rng.uniform(lo, hi, n_active)
+    n_shared = draw(st.integers(0, n_active))
+    if n_shared:
+        a[:n_shared] = a[0]
+    d = _pairs_from_roots(a, ell)
+    n_inactive = draw(st.integers(0, 50))
+    ell_in = rng.uniform(1e-3, math.pi, n_inactive)
+    d_in = rng.uniform(2.0 * np.sin(ell_in / 2), ell_in)
+    n_sat = draw(st.integers(0, 3))
+    ell_sat = rng.uniform(0.1, math.pi, n_sat)
+    d_sat = np.full(n_sat, 1e-305)
+    d = np.concatenate([d, d_in, d_sat])
+    ell = np.concatenate([ell, ell_in, ell_sat])
+    n_dup = draw(st.integers(0, 20))
+    if d.size and n_dup:
+        src = rng.integers(0, d.size, n_dup)
+        dst = rng.integers(0, d.size, n_dup)
+        d[dst], ell[dst] = d[src], ell[src]
+    order = rng.permutation(d.size)
+    return d[order], ell[order]
+
+
+@given(pairs=chord_arc_arrays())
+@settings(max_examples=300, deadline=None)
+def test_sup_a_matches_all_roots_bit_for_bit(pairs):
+    d, ell = pairs
+    if d.size == 0:
+        return
+    assert _sup_a(d, ell) == _sup_a_all_roots(d, ell)
+
+
+def test_sup_a_edge_cases_match_all_roots():
+    ell = np.linspace(0.5, math.pi, 7)
+    round_chords = 2.0 * np.sin(ell / 2)
+    assert _sup_a(round_chords, ell) == (0, 0.0, 0)  # all inactive
+    d = round_chords.copy()
+    d[4] *= 0.9  # a single active pair
+    assert _sup_a(d, ell) == _sup_a_all_roots(d, ell)
+    assert _sup_a(d, ell)[0] == 4
+    tied = np.full(6, 1.0), np.full(6, math.pi)  # ties go to the first index
+    assert _sup_a(*tied) == _sup_a_all_roots(*tied)
+    assert _sup_a(*tied)[0] == 0
+    sat = np.array([0.5, 1e-305, 1e-306, 1.0]), np.array([1.0, 2.0, 3.0, 3.0])
+    assert _sup_a(*sat) == _sup_a_all_roots(*sat)
+    assert _sup_a(*sat)[:2] == (1, A_CAP)  # both saturate; the first wins
+
+
+def test_sup_a_raises_the_domain_errors_of_a_solve():
+    ell = np.array([1.0, 2.0])
+    for d in (np.array([0.5, 0.0]), np.array([0.5, -1.0])):
+        with pytest.raises(DomainError, match="chord length must be positive"):
+            _sup_a(d, ell)
+    past = np.array([0.5, 2.0 * (1.0 + 2e-9)])
+    with pytest.raises(DomainError, match="chord exceeds arc") as got:
+        _sup_a(past, ell)
+    with pytest.raises(DomainError) as want:
+        a_solve(past, ell)
+    assert got.value.to_json_dict() == want.value.to_json_dict()
+    _sup_a(np.array([0.5, 2.0 * (1.0 + 5e-10)]), ell)  # inside the 1e-9 slack
+    with pytest.raises(DomainError, match="arc length"):
+        _sup_a(np.array([0.5]), np.array([3.5]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_circle(1.0, 256),
+        lambda: gen_ellipse(2.0, 1.0, 512),
+        lambda: gen_dumbbell(0.1, 512),
+        lambda: gen_dumbbell(0.2, 512),
+        lambda: gen_dumbbell(0.3, 256),
+        lambda: gen_dumbbell(0.5, 256),
+        lambda: gen_fourier(1, 6, 256),
+        lambda: gen_fourier(2, 6, 512),
+        lambda: gen_fourier(7, 3, 256),
+    ],
+)
+def test_profile_matches_all_roots_oracle(make):
+    frame = build_frame(canonical_scale(make()))
+    summary = profile(frame)
+    a_bar, attained, off_max, n_active = _profile_all_roots(frame)
+    assert summary.a_bar == a_bar
+    assert summary.attained == attained
+    assert summary.offdiagonal_max == off_max
+    assert summary.n_active == n_active
+
+
+def test_profile_solves_roots_for_under_one_percent_of_active_pairs(monkeypatch):
+    solved = []
+
+    def counting(d, u):
+        solved.append(d.size)
+        return _a_root(d, u)
+
+    frame = build_frame(canonical_scale(gen_dumbbell(0.2, 512)))
+    monkeypatch.setattr(comparison, "_a_root", counting)
+    summary = profile(frame)
+    assert summary.a_bar == pytest.approx(DUMB512_ABAR, rel=1e-12)
+    assert summary.n_active > 60_000
+    assert sum(solved) < 0.01 * summary.n_active
 
 
 # -- identity and inequality sweeps ---------------------------------------------

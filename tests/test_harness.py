@@ -2,13 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from csflow import __version__, cli
 from csflow.dynamics import KIND_UNNORMALIZED, TERM_END, FlowConfig
-from csflow.errors import ConfigError, NotEmbedded
+from csflow.errors import ConfigError, GenerationFailure, NotEmbedded
 from csflow.geometry import (
     DiscreteCurve,
     build_frame,
@@ -92,6 +93,15 @@ def test_dumbbell_is_nonconvex_but_embedded():
     curve = gen_dumbbell(neck=0.2, n=256)
     assert is_embedded(curve)
     assert build_frame(curve).k_min < 0.0
+
+
+@pytest.mark.parametrize("neck", [1e-8, 1e-9])
+def test_dumbbell_too_thin_to_sample_is_a_generation_failure(neck):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no sqrt of a negative radicand
+        with pytest.raises(GenerationFailure) as info:
+            gen_dumbbell(neck=neck, n=512)
+    assert info.value.context == {"neck": neck, "n": 512}
 
 
 @pytest.mark.parametrize(
