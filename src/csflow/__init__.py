@@ -9,109 +9,6 @@ measured along every run.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    CsflowError,
-    CurveFormatError,
-    DegenerateCurve,
-    DomainError,
-    GenerationFailure,
-    InvalidPair,
-    NotEmbedded,
-    NumericalBlowup,
-    ResampleFailure,
-    SelfIntersection,
-    WrongRunKind,
-)
-from .geometry import (
-    ChordArcRecord,
-    CurveFrame,
-    DiscreteCurve,
-    all_pairs_chord_arc,
-    build_frame,
-    canonical_scale,
-    chord_arc,
-    chord_arc_record,
-    is_embedded,
-    load_curve,
-    polygon_length,
-    resample_uniform,
-    save_curve,
-    signed_area,
-)
-from .comparison import (
-    A_CAP,
-    LOG_A_CAP,
-    AnalyticEllipse,
-    ComparisonOffset,
-    IdentityReport,
-    ProfileSummary,
-    a_diagonal,
-    a_solve,
-    check_f_shape,
-    check_g_positive,
-    check_h_convex,
-    check_L_dominates,
-    check_Ltilde,
-    check_small_sep_taylor,
-    f_eval,
-    f_t,
-    f_x,
-    f_xx,
-    g_eval,
-    g_prime,
-    h_eval,
-    h_second,
-    profile,
-    z_eval,
-)
-from .dynamics import (
-    KIND_NORMALIZED,
-    KIND_UNNORMALIZED,
-    SCHEME_EXPLICIT,
-    SCHEME_SEMI_IMPLICIT,
-    TERM_BLOWUP,
-    TERM_END,
-    TERM_SELF_INTERSECT,
-    TERM_STEP_FAILURE,
-    ClockMap,
-    DenseSeries,
-    FlowConfig,
-    Snapshot,
-    Trajectory,
-    normalize_trajectory,
-    recover_unnormalized,
-    run,
-    step_normalized,
-    step_unnormalized,
-)
-from .diagnostics import (
-    BoundReport,
-    ConvergenceMetrics,
-    DecayFit,
-    check_abar_decay,
-    check_curvature_bound,
-    check_distance_comparison,
-    convergence_metrics,
-    derivative_decay,
-    geometric_tolerance,
-    snapshot_profiles,
-)
-from .harness import (
-    ALL_CHECKS,
-    RunResult,
-    RunSpec,
-    bench,
-    execute,
-    gen_circle,
-    gen_dumbbell,
-    gen_ellipse,
-    gen_fourier,
-    generate,
-    materialize_curve,
-    persist_run,
-    profile_curve,
-    run_directory,
-    verify_identities,
-    write_series_csv,
-)
+from .dynamics import FlowConfig
+from .errors import CsflowError
+from .harness import RunSpec, execute

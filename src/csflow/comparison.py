@@ -21,7 +21,7 @@ return IdentityReports with measured residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -155,24 +155,6 @@ def g_eval(z):
             * (4.0 / 5.0 - z2 * (6.0 / 7.0 - z2 * (8.0 / 9.0 - z2 * (10.0 / 11.0))))
         )
     out = np.where(np.abs(z) < 0.01, series, direct)
-    return _maybe_scalar(out, scalar)
-
-
-def g_prime(z):
-    """g'(z) = 2 z^2 / (1 + z^2)^2."""
-    scalar = np.isscalar(z)
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        d = 1.0 + z * z
-        out = 2.0 * z * z / (d * d)
-    out = np.where(np.isinf(z * z), 0.0, out)
-    return _maybe_scalar(out, scalar)
-
-
-def h_eval(v):
-    """h(v) = arccos(v)^2 on [0, 1]; convex, which makes L dominate L-tilde."""
-    scalar = np.isscalar(v)
-    out = np.arccos(np.asarray(v, dtype=float)) ** 2
     return _maybe_scalar(out, scalar)
 
 
@@ -365,7 +347,8 @@ class ProfileSummary:
     """Supremal ratio of one curve and where it is attained.
 
     ``attained`` is a vertex pair (i, j), with i == j when the diagonal
-    family wins. ``min_z`` is filled only when an offset was supplied.
+    family wins. ``min_z`` and ``min_z_pair`` are left unset by
+    :func:`ratio_table`, which does not evaluate Z.
     """
 
     a_bar: float
@@ -384,16 +367,57 @@ class ProfileSummary:
         return ComparisonOffset(t_bar=self.t_bar, round_circle=self.round_circle)
 
 
+def _canonical_pairs(frame: CurveFrame):
+    """Every vertex pair's indices, chord and shorter arc (clipped to pi) of a
+    frame scaled to length 2*pi."""
+    if abs(frame.length - TWO_PI) > 1e-6 * TWO_PI:
+        raise DomainError(
+            "profile requires a curve of length 2*pi", length=frame.length
+        )
+    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
+    return i_idx, j_idx, d, np.minimum(ell, math.pi)  # clip the L/2 rounding hair
+
+
+def _summary(frame, i_idx, j_idx, im_off, off_max, n_active) -> ProfileSummary:
+    """Combine the off-diagonal supremum (flat argmax, maximum, active count)
+    with the diagonal family into a ProfileSummary without Z."""
+    # Discrete curvature carries rounding noise of order 1e-12 around k = 1,
+    # which sqrt(k^2 - 1) would inflate to ~1e-6; values of k^2 - 1 below the
+    # measurement floor read as exactly round (a circle must profile to 0).
+    k = frame.curvature
+    a_diag = np.where(k * k - 1.0 <= _DIAG_NOISE_FLOOR, 0.0, a_diagonal(k))
+
+    im_diag = int(np.argmax(a_diag))
+    diag_max = float(a_diag[im_diag])
+    if diag_max >= off_max:
+        a_bar, attained = diag_max, (im_diag, im_diag)
+    else:
+        a_bar, attained = off_max, (int(i_idx[im_off]), int(j_idx[im_off]))
+
+    own = ComparisonOffset.from_a_bar(a_bar)
+    return ProfileSummary(
+        a_bar=a_bar,
+        t_bar=own.t_bar,
+        round_circle=own.round_circle,
+        attained=attained,
+        diagonal_max=diag_max,
+        offdiagonal_max=off_max,
+        n_active=n_active,
+        saturated=bool(a_bar >= 0.999 * A_CAP),
+    )
+
+
 def profile(
     frame: CurveFrame,
     offset: ComparisonOffset | None = None,
     t: float = 0.0,
 ) -> ProfileSummary:
-    """Supremum of the ratio a over all vertex pairs and diagonal values.
+    """Supremum of the ratio a over all vertex pairs and diagonal values, and
+    the minimum of Z over all pairs at time ``t``.
 
-    The frame must come from an embedded curve scaled to length 2*pi. When
-    ``offset`` is given, also evaluates Z over all pairs at time ``t`` and
-    records the minimum.
+    The frame must come from an embedded curve scaled to length 2*pi. Z is
+    evaluated against ``offset``, or against the curve's own offset when
+    none is given.
 
     The off-diagonal supremum solves a root for almost no pair. A pair is
     active when d < 2u, u = sin(l/2); the others have a = 0. Because
@@ -418,47 +442,29 @@ def profile(
     -------
     ProfileSummary
     """
-    if abs(frame.length - TWO_PI) > 1e-6 * TWO_PI:
-        raise DomainError(
-            "profile requires a curve of length 2*pi", length=frame.length
-        )
-    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
-    ell = np.minimum(ell, math.pi)  # shorter arc; clip the L/2 rounding hair
-    im_off, off_max, n_active = _sup_a(d, ell)
-    # Discrete curvature carries rounding noise of order 1e-12 around k = 1,
-    # which sqrt(k^2 - 1) would inflate to ~1e-6; values of k^2 - 1 below the
-    # measurement floor read as exactly round (a circle must profile to 0).
-    k = frame.curvature
-    a_diag = np.where(k * k - 1.0 <= _DIAG_NOISE_FLOOR, 0.0, a_diagonal(k))
-
-    im_diag = int(np.argmax(a_diag))
-    diag_max = float(a_diag[im_diag])
-    if diag_max >= off_max:
-        a_bar, attained = diag_max, (im_diag, im_diag)
-    else:
-        a_bar, attained = off_max, (int(i_idx[im_off]), int(j_idx[im_off]))
-
-    min_z = None
-    min_z_pair = None
-    if offset is not None:
-        z = z_eval(d, ell, t, offset)
-        im_z = int(np.argmin(z))
-        min_z = float(z[im_z])
-        min_z_pair = (int(i_idx[im_z]), int(j_idx[im_z]))
-
-    own = ComparisonOffset.from_a_bar(a_bar)
-    return ProfileSummary(
-        a_bar=a_bar,
-        t_bar=own.t_bar,
-        round_circle=own.round_circle,
-        attained=attained,
-        diagonal_max=diag_max,
-        offdiagonal_max=off_max,
-        n_active=n_active,
-        saturated=bool(a_bar >= 0.999 * A_CAP),
-        min_z=min_z,
-        min_z_pair=min_z_pair,
+    i_idx, j_idx, d, ell = _canonical_pairs(frame)
+    summary = _summary(frame, i_idx, j_idx, *_sup_a(d, ell))
+    z = z_eval(d, ell, t, summary.offset if offset is None else offset)
+    im_z = int(np.argmin(z))
+    return replace(
+        summary,
+        min_z=float(z[im_z]),
+        min_z_pair=(int(i_idx[im_z]), int(j_idx[im_z])),
     )
+
+
+def ratio_table(frame: CurveFrame):
+    """The profile without Z, plus the ratio a of every vertex pair.
+
+    One sweep: a_solve over all pairs gives both the table and the
+    off-diagonal supremum (argmax, max and count of the same array that
+    :func:`profile` prunes to). Returns ``(summary, ell, d, a)``.
+    """
+    i_idx, j_idx, d, ell = _canonical_pairs(frame)
+    a = a_solve(d, ell)
+    im = int(np.argmax(a))
+    n_active = int(np.count_nonzero(a))
+    return _summary(frame, i_idx, j_idx, im, float(a[im]), n_active), ell, d, a
 
 
 # -- identity and inequality sweeps ------------------------------------------

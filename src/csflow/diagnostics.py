@@ -7,9 +7,10 @@ k_max(t)^2 <= 1 + 2 e^{-2(t - t_bar)}. The offset t_bar is measured once,
 on the first snapshot; everything later must ride below the barrier it
 sets. Convergence metrics quantify the approach to the unit circle.
 
-All checks share the per-snapshot pair profiles, which dominate the cost;
-compute them once with :func:`snapshot_profiles` and pass them in when
-running several checks on the same trajectory.
+All checks read the per-snapshot pair profiles, which dominate the cost.
+Every check and :func:`convergence_metrics` requires them as an argument:
+compute them once per trajectory with :func:`snapshot_profiles`, one
+profile per snapshot, and pass the same list to each.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import ComparisonOffset, ProfileSummary, profile
+from .comparison import ProfileSummary, profile
 from .dynamics import KIND_NORMALIZED, Trajectory
 from .errors import DomainError, WrongRunKind
 
@@ -95,7 +96,6 @@ class ConvergenceMetrics:
     identity_residual: np.ndarray
     l2_bound: np.ndarray
     identity_pass: bool
-    l2_pass: bool
 
     def __post_init__(self):
         for name in ("l2_dev", "sup_dev", "circle_dist", "sup_dk"):
@@ -124,12 +124,13 @@ def _require_normalized(traj: Trajectory, op: str) -> None:
 
 
 def snapshot_profiles(traj: Trajectory) -> list[ProfileSummary]:
-    """Pair profiles of every snapshot, with Z evaluated against the offset
-    frozen at the first snapshot. The dominant cost of all bound checks."""
+    """Pair profiles of every snapshot, one profile each, with Z evaluated
+    against the offset frozen at the first snapshot (the first snapshot's
+    own). The dominant cost of all bound checks."""
     _require_normalized(traj, "snapshot_profiles")
-    first = traj.snapshots[0]
-    offset = profile(first.frame, t=first.time).offset
-    return [profile(s.frame, offset=offset, t=s.time) for s in traj.snapshots]
+    first, *rest = traj.snapshots
+    head = profile(first.frame, t=first.time)
+    return [head] + [profile(s.frame, offset=head.offset, t=s.time) for s in rest]
 
 
 def geometric_tolerance(traj: Trajectory) -> float:
@@ -138,7 +139,7 @@ def geometric_tolerance(traj: Trajectory) -> float:
 
 
 def check_distance_comparison(
-    traj: Trajectory, profiles: list[ProfileSummary] | None = None
+    traj: Trajectory, profiles: list[ProfileSummary]
 ) -> BoundReport:
     """Chord comparison d >= f(l, t - t_bar) over all pairs and snapshots.
 
@@ -147,8 +148,6 @@ def check_distance_comparison(
     with the mesh credit of :func:`geometric_tolerance` as tolerance.
     """
     _require_normalized(traj, "check_distance_comparison")
-    if profiles is None:
-        profiles = snapshot_profiles(traj)
     time = traj.times
     min_z = np.array([p.min_z for p in profiles])
     tol = geometric_tolerance(traj)
@@ -172,7 +171,7 @@ def check_distance_comparison(
 
 
 def check_abar_decay(
-    traj: Trajectory, profiles: list[ProfileSummary] | None = None
+    traj: Trajectory, profiles: list[ProfileSummary]
 ) -> BoundReport:
     """Exponential decay of the supremal ratio: log sup a(t) <= t_bar - t.
 
@@ -180,8 +179,6 @@ def check_abar_decay(
     of the series; the additive slack covers root-solve and mesh error.
     """
     _require_normalized(traj, "check_abar_decay")
-    if profiles is None:
-        profiles = snapshot_profiles(traj)
     t_bar = profiles[0].t_bar
     time = traj.times
     keep = np.array([p.a_bar > 0.0 for p in profiles])
@@ -202,7 +199,7 @@ def check_abar_decay(
 
 
 def check_curvature_bound(
-    traj: Trajectory, profiles: list[ProfileSummary] | None = None
+    traj: Trajectory, profiles: list[ProfileSummary]
 ) -> BoundReport:
     """Supremal curvature against k_max(t)^2 <= 1 + 2 e^{-2(t - t_bar)}.
 
@@ -211,8 +208,6 @@ def check_curvature_bound(
     k_max^2 <= 1.
     """
     _require_normalized(traj, "check_curvature_bound")
-    if profiles is None:
-        profiles = snapshot_profiles(traj)
     t_bar = profiles[0].t_bar
     time = traj.times
     k_max = np.array([s.frame.k_max for s in traj.snapshots])
@@ -239,7 +234,7 @@ def check_curvature_bound(
 
 
 def convergence_metrics(
-    traj: Trajectory, profiles: list[ProfileSummary] | None = None
+    traj: Trajectory, profiles: list[ProfileSummary]
 ) -> ConvergenceMetrics:
     """Distance-to-circle metrics per snapshot, with the L2 decay bound.
 
@@ -248,8 +243,6 @@ def convergence_metrics(
     int (k-1)^2 ds <= 2 e^{-2(t - t_bar)} at 5% relative slack.
     """
     _require_normalized(traj, "convergence_metrics")
-    if profiles is None:
-        profiles = snapshot_profiles(traj)
     t_bar = profiles[0].t_bar
     n_snap = len(traj.snapshots)
 
@@ -278,14 +271,14 @@ def convergence_metrics(
         circle_dist[i] = float(np.max(np.abs(rho - r)))
         sup_dk[i] = float(np.max(np.abs(np.roll(k, -1) - k) / fr.edge_lengths))
 
-    k_min = np.array([float(np.min(s.frame.curvature)) for s in traj.snapshots])
+    k_min = np.array([s.frame.k_min for s in traj.snapshots])
     if k_min[0] <= 0.0 and np.any(k_min > 0.0):
         cross = int(np.argmax(k_min > 0.0))
         log.info("curvature positive from t = %.4f on", time[cross])
 
     with np.errstate(over="ignore"):
         l2_bound = 2.0 * np.exp(-2.0 * (time - t_bar))
-    metrics = ConvergenceMetrics(
+    return ConvergenceMetrics(
         time=time,
         l2_dev=l2_dev,
         sup_dev=sup_dev,
@@ -296,50 +289,5 @@ def convergence_metrics(
         identity_residual=identity_residual,
         l2_bound=l2_bound,
         identity_pass=bool(np.all(identity_residual <= 1e-8)),
-        l2_pass=bool(
-            np.all((l2_bound - l2_dev) / np.maximum(l2_bound, 1e-12) >= -0.05)
-        ),
     )
-    return metrics
 
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Log-linear fit of sup|dk/ds| over the tail of a run; informational.
-
-    ``rate`` is the fitted exponential decay rate (positive = decaying);
-    nan when too few points rise above the noise floor to fit. ``flagged``
-    marks a usable fit slower than 0.5.
-    """
-
-    time: np.ndarray
-    sup_dk: np.ndarray
-    rate: float
-    flagged: bool
-
-
-def derivative_decay(traj: Trajectory, t_start: float = 1.0) -> DecayFit:
-    """Fit the decay rate of the curvature difference quotients.
-
-    Uses snapshots with t >= t_start and sup|dk/ds| above the rounding
-    floor 1e-12; needs three such points for a fit. No pass/fail, only the
-    slow-decay flag.
-    """
-    _require_normalized(traj, "derivative_decay")
-    time = traj.times
-    sup_dk = np.empty(time.size)
-    for i, snap in enumerate(traj.snapshots):
-        fr = snap.frame
-        sup_dk[i] = float(
-            np.max(np.abs(np.roll(fr.curvature, -1) - fr.curvature) / fr.edge_lengths)
-        )
-    usable = (time >= t_start) & (sup_dk > 1e-12)
-    if np.count_nonzero(usable) < 3:
-        return DecayFit(time=time, sup_dk=sup_dk, rate=math.nan, flagged=False)
-    slope = np.polyfit(time[usable], np.log(sup_dk[usable]), 1)[0]
-    rate = -float(slope)
-    # rates measured at the rounding floor are meaningless, never flag them
-    at_floor = float(np.max(sup_dk[usable])) < 1e-8
-    return DecayFit(
-        time=time, sup_dk=sup_dk, rate=rate, flagged=bool(rate < 0.5 and not at_floor)
-    )

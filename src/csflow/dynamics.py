@@ -91,10 +91,16 @@ class FlowConfig:
             raise ConfigError(f"time step must be positive, got {self.dt}")
         if not (0.0 < self.safety <= 0.5):
             raise ConfigError(f"safety factor must lie in (0, 0.5], got {self.safety}")
-        if self.t_end <= 0.0:
-            raise ConfigError(f"end time must be positive, got {self.t_end}")
-        if self.resample_every < 0 or self.snapshot_every < 1:
-            raise ConfigError("cadence fields must be positive")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise ConfigError(f"end time must be positive and finite, got {self.t_end}")
+        if (
+            self.resample_every < 0
+            or self.snapshot_every < 1
+            or self.embed_check_every < 0
+        ):
+            raise ConfigError(
+                "cadence fields must be non-negative (snapshot_every at least 1)"
+            )
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -150,25 +150,6 @@ class CurveFrame:
     @property
     def k_min(self) -> float:
         return float(np.min(self.curvature))
-
-
-@dataclass(frozen=True)
-class ChordArcRecord:
-    """One vertex pair with its chord/arc data.
-
-    ``ratio`` and ``comparison_value`` (the functional Z) are filled by the
-    comparison module; they stay None for purely geometric queries.
-    """
-
-    pair: tuple[int, int]
-    chord: float
-    arc: float
-    chord_direction: tuple[float, float]
-    tangent_chord_angle_p: float
-    tangent_chord_angle_q: float
-    opening_angle: float
-    ratio: float | None = None
-    comparison_value: float | None = None
 
 
 def build_frame(curve: DiscreteCurve) -> CurveFrame:
@@ -375,22 +356,6 @@ def chord_arc(frame: CurveFrame, i: int, j: int):
     dot = float(np.clip(np.dot(frame.tangents[i], frame.tangents[j]), -1.0, 1.0))
     theta = math.acos(dot)
     return d, ell, (float(w[0]), float(w[1])), theta
-
-
-def chord_arc_record(frame: CurveFrame, i: int, j: int) -> ChordArcRecord:
-    """Full geometric record for one pair (comparison fields left unset)."""
-    d, ell, w, theta = chord_arc(frame, i, j)
-    ang_p = math.acos(float(np.clip(np.dot(frame.tangents[i], w), -1.0, 1.0)))
-    ang_q = math.acos(float(np.clip(np.dot(frame.tangents[j], w), -1.0, 1.0)))
-    return ChordArcRecord(
-        pair=(i, j),
-        chord=d,
-        arc=ell,
-        chord_direction=w,
-        tangent_chord_angle_p=ang_p,
-        tangent_chord_angle_q=ang_q,
-        opening_angle=theta,
-    )
 
 
 def all_pairs_chord_arc(frame: CurveFrame):

@@ -27,14 +27,13 @@ from .comparison import (
     AnalyticEllipse,
     IdentityReport,
     ProfileSummary,
-    a_solve,
     check_f_shape,
     check_g_positive,
     check_h_convex,
     check_L_dominates,
     check_Ltilde,
     check_small_sep_taylor,
-    profile,
+    ratio_table,
 )
 from .diagnostics import (
     BoundReport,
@@ -65,14 +64,12 @@ from .errors import (
 )
 from .geometry import (
     DiscreteCurve,
-    all_pairs_chord_arc,
     build_frame,
     canonical_scale,
     is_embedded,
     load_curve,
     resample_uniform,
     save_curve,
-    signed_area,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -353,7 +350,7 @@ def _series_rows(result: RunResult):
             fr.k_max,
             fr.k_min,
             fr.avg_k2,
-            signed_area(fr.vertices),
+            fr.area,
             prof.a_bar if prof else math.nan,
             prof.t_bar if prof else math.nan,
             prof.min_z if prof else math.nan,
@@ -451,12 +448,7 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
     curve = load_curve(path)
     if not is_embedded(curve):
         raise NotEmbedded("cannot profile a self-intersecting curve", path=str(path))
-    frame = build_frame(canonical_scale(curve))
-    summary = profile(frame)
-
-    _, _, d, ell = all_pairs_chord_arc(frame)
-    ell = np.minimum(ell, math.pi)
-    a = a_solve(d, ell)
+    summary, ell, d, a = ratio_table(build_frame(canonical_scale(curve)))
     out_csv = (
         Path(out_csv)
         if out_csv is not None

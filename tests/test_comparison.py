@@ -1,20 +1,22 @@
 """Barrier function, ratio solver, profiles, and analytic identity sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csflow import (
+from csflow import comparison
+from csflow.comparison import (
+    _DIAG_NOISE_FLOOR,
     A_CAP,
     AnalyticEllipse,
     ComparisonOffset,
-    DomainError,
+    _a_root,
+    _sup_a,
     a_diagonal,
     a_solve,
-    build_frame,
-    canonical_scale,
     check_L_dominates,
     check_Ltilde,
     check_f_shape,
@@ -26,19 +28,14 @@ from csflow import (
     f_x,
     f_xx,
     g_eval,
-    g_prime,
-    gen_circle,
-    gen_dumbbell,
-    gen_ellipse,
-    gen_fourier,
-    h_eval,
     h_second,
     profile,
+    ratio_table,
     z_eval,
 )
-from csflow import comparison
-from csflow.comparison import _DIAG_NOISE_FLOOR, _a_root, _sup_a
-from csflow.geometry import all_pairs_chord_arc
+from csflow.errors import DomainError
+from csflow.geometry import all_pairs_chord_arc, build_frame, canonical_scale
+from csflow.harness import gen_circle, gen_dumbbell, gen_ellipse, gen_fourier
 
 # root of 2 arctan(a)/a = 1, i.e. a_solve(d=1, ell=pi); computed with an
 # independent scipy.optimize.brentq solve of the defining relation
@@ -81,8 +78,6 @@ def test_g_exact_values():
 
 
 def test_h_exact_values():
-    assert h_eval(1.0) == 0.0
-    assert h_eval(0.0) == pytest.approx((math.pi / 2) ** 2, rel=1e-15)
     assert h_second(0.0) == pytest.approx(2.0, rel=1e-15)
     # v -> 1 limit of h'' is 2/3; closer than ~1e-5 the 1 - v^2 cancellation
     # dominates, so probe just outside it
@@ -127,7 +122,8 @@ def test_closed_form_derivatives_match_finite_differences():
     assert np.max(np.abs(fd_t - f_t(x, t)) / (1 + np.abs(f_t(x, t)))) < 1e-6
     z = rng.uniform(0.02, 10.0, size=20)
     fd_g = (g_eval(z + h) - g_eval(z - h)) / (2 * h)
-    assert np.max(np.abs(fd_g - g_prime(z))) < 1e-9
+    g_prime = 2 * z * z / (1 + z * z) ** 2
+    assert np.max(np.abs(fd_g - g_prime)) < 1e-9
 
 
 def test_f_shape_properties_bulk():
@@ -296,6 +292,8 @@ def test_dumbbell_profile_attained_across_neck():
 def test_profile_requires_canonical_length():
     with pytest.raises(DomainError):
         profile(build_frame(gen_ellipse(2.0, 1.0, 64)))
+    with pytest.raises(DomainError):
+        ratio_table(build_frame(gen_ellipse(2.0, 1.0, 64)))
 
 
 def test_profile_z_against_own_offset_is_nonnegative():
@@ -306,6 +304,44 @@ def test_profile_z_against_own_offset_is_nonnegative():
     # the offset was built from this very curve, so Z >= 0 with equality
     # approached at the attaining pair
     assert again.min_z >= -1e-13
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_circle(1.0, 128),
+        lambda: gen_ellipse(2.0, 1.0, 256),
+        lambda: gen_dumbbell(0.2, 256),
+        lambda: gen_fourier(3, 6, 256),
+    ],
+)
+def test_profile_without_offset_uses_own_offset(make):
+    frame = build_frame(canonical_scale(make()))
+    for t in (0.0, 0.7):
+        base = profile(frame, t=t)
+        again = profile(frame, offset=base.offset, t=t)
+        assert again == base  # min_z and min_z_pair too, bit for bit
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_circle(1.0, 128),
+        lambda: gen_ellipse(2.0, 1.0, 256),
+        lambda: gen_dumbbell(0.2, 256),
+        lambda: gen_fourier(3, 6, 256),
+    ],
+)
+def test_ratio_table_matches_profile_and_a_solve(make):
+    frame = build_frame(canonical_scale(make()))
+    summary, ell, d, a = ratio_table(frame)
+    _, _, d_all, ell_all = all_pairs_chord_arc(frame)
+    assert np.array_equal(d, d_all)
+    assert np.array_equal(ell, np.minimum(ell_all, math.pi))
+    assert np.array_equal(a, a_solve(d, ell))
+    assert summary.min_z is None and summary.min_z_pair is None
+    full = profile(frame)
+    assert summary == replace(full, min_z=None, min_z_pair=None)
 
 
 # -- the pruned supremum against the all-roots oracle ----------------------------

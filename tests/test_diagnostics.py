@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from csflow.comparison import ProfileSummary
+from csflow import diagnostics
+from csflow.comparison import ProfileSummary, profile
 from csflow.diagnostics import (
     ConvergenceMetrics,
     check_abar_decay,
     check_curvature_bound,
     check_distance_comparison,
     convergence_metrics,
-    derivative_decay,
     geometric_tolerance,
     snapshot_profiles,
 )
@@ -117,12 +117,6 @@ def test_circle_deviations_at_rounding_level(circle_run):
     assert rep.passed and abs(rep.worst_margin) < 1e-9
 
 
-def test_circle_decay_fit_never_flags_floor_noise(circle_run):
-    fit = derivative_decay(circle_run.trajectory)
-    assert float(np.max(fit.sup_dk)) < 1e-6
-    assert not fit.flagged
-
-
 def test_report_json_shape(circle_run):
     doc = circle_run.reports["curvature-bound"].to_json_dict()
     assert set(doc) == {"name", "pass", "worst_margin", "series"}
@@ -144,6 +138,26 @@ def test_measured_column_is_per_snapshot_min_z(circle_run):
     profiles = snapshot_profiles(traj)
     rep = check_distance_comparison(traj, profiles)
     assert rep.measured == pytest.approx([p.min_z for p in profiles], abs=0.0)
+
+
+def test_execute_profiles_each_snapshot_once(monkeypatch):
+    # count guard, no timing: one profile per snapshot, the first included
+    calls = []
+
+    def counting(frame, *args, **kwargs):
+        calls.append(frame)
+        return profile(frame, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "profile", counting)
+    spec = RunSpec(
+        generator="ellipse",
+        params={"a": 2.0, "b": 1.0},
+        flow=FlowConfig(n=64, t_end=0.1),
+    )
+    res = execute(spec, persist=False)
+    snaps = res.trajectory.snapshots
+    assert len(calls) == len(snaps) == len(res.profiles)
+    assert [id(f) for f in calls] == [id(s.frame) for s in snaps]
 
 
 def test_geometric_tolerance_tracks_mesh(circle_run):
@@ -274,9 +288,11 @@ def test_dumbbell_derivative_quotients_collapse(flagship_dumbbell):
 
 
 def test_ellipse_derivative_decay_rate(flagship_ellipse):
-    fit = derivative_decay(flagship_ellipse.trajectory)
-    assert fit.rate >= 0.8
-    assert not fit.flagged
+    # log-linear fit of sup|dk/ds| over t >= 1: decay rate at least 0.8
+    met = flagship_ellipse.metrics
+    tail = met.time >= 1.0
+    slope = np.polyfit(met.time[tail], np.log(met.sup_dk[tail]), 1)[0]
+    assert -slope >= 0.8
 
 
 # -- guards ----------------------------------------------------------------------
@@ -285,16 +301,16 @@ def test_ellipse_derivative_decay_rate(flagship_ellipse):
 def test_checks_reject_unnormalized_runs():
     snap = Snapshot(0.0, 0, gen_circle(2.0, 64))
     traj = Trajectory(kind=KIND_UNNORMALIZED, snapshots=[snap], termination=TERM_END)
+    with pytest.raises(WrongRunKind):
+        snapshot_profiles(traj)
     for op in (
-        snapshot_profiles,
         check_distance_comparison,
         check_abar_decay,
         check_curvature_bound,
         convergence_metrics,
-        derivative_decay,
     ):
         with pytest.raises(WrongRunKind):
-            op(traj)
+            op(traj, [_stub_profile()])
 
 
 def test_metrics_reject_negative_values():
@@ -310,7 +326,6 @@ def test_metrics_reject_negative_values():
         identity_residual=one,
         l2_bound=one,
         identity_pass=True,
-        l2_pass=True,
     )
     ConvergenceMetrics(**good)
     with pytest.raises(DomainError):

@@ -5,28 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from csflow import (
-    ClockMap,
-    ConfigError,
-    DenseSeries,
-    DiscreteCurve,
-    DomainError,
-    FlowConfig,
+from csflow.dynamics import (
     KIND_NORMALIZED,
     KIND_UNNORMALIZED,
-    NotEmbedded,
-    Snapshot,
     TERM_BLOWUP,
     TERM_END,
+    ClockMap,
+    DenseSeries,
+    FlowConfig,
+    Snapshot,
     Trajectory,
-    WrongRunKind,
-    gen_circle,
-    gen_ellipse,
+    _solve_cyclic_tridiagonal,
     normalize_trajectory,
     recover_unnormalized,
     run,
 )
-from csflow.dynamics import _solve_cyclic_tridiagonal
+from csflow.errors import ConfigError, DomainError, NotEmbedded, WrongRunKind
+from csflow.geometry import DiscreteCurve
+from csflow.harness import gen_circle, gen_ellipse
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +75,24 @@ def test_flow_config_validation():
         FlowConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
         FlowConfig(snapshot_every=0)
+    FlowConfig(embed_check_every=0, resample_every=0)  # 0 turns a check off
 
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"t_end": math.nan},
+        {"t_end": math.inf},
+        {"t_end": 0.0},
+        {"embed_check_every": -1},
+        {"resample_every": -1},
+    ],
+)
+def test_flow_config_rejects_nonfinite_end_and_negative_cadence(bad):
+    with pytest.raises(ConfigError):
+        FlowConfig(**bad)
+    with pytest.raises(ConfigError):
+        FlowConfig.from_json_dict({**FlowConfig().to_json_dict(), **bad})
 
 def test_flow_config_json_round_trip():
     cfg = FlowConfig(kind="unnormalized", n=128, scheme="explicit", dt=5e-5,

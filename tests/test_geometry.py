@@ -9,28 +9,27 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ellipe
 
 import csflow.geometry as geometry
-from csflow import (
+from csflow.errors import (
     CurveFormatError,
     DegenerateCurve,
-    DiscreteCurve,
     InvalidPair,
     ResampleFailure,
+)
+from csflow.geometry import (
+    EMBED_TOL,
+    DiscreteCurve,
+    _is_embedded_all_pairs,
     all_pairs_chord_arc,
     build_frame,
     canonical_scale,
     chord_arc,
-    chord_arc_record,
-    gen_circle,
-    gen_dumbbell,
-    gen_ellipse,
-    gen_fourier,
     is_embedded,
     load_curve,
     polygon_length,
     resample_uniform,
     save_curve,
 )
-from csflow.geometry import EMBED_TOL, _is_embedded_all_pairs
+from csflow.harness import gen_circle, gen_dumbbell, gen_ellipse, gen_fourier
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,10 +151,9 @@ def test_chord_arc_minor_axis_of_ellipse():
     assert d == pytest.approx(2.0, abs=1e-12)
     assert ell == pytest.approx(ELL_PERIMETER / 2.0, abs=2e-5)
     assert theta == pytest.approx(math.pi, abs=1e-9)  # antipodal tangents
-    rec = chord_arc_record(frame, n // 4, 3 * n // 4)
-    assert rec.tangent_chord_angle_p == pytest.approx(math.pi / 2, abs=1e-9)
-    assert rec.tangent_chord_angle_q == pytest.approx(math.pi / 2, abs=1e-9)
-    assert rec.ratio is None and rec.comparison_value is None
+    # the chord meets both tangents at a right angle
+    assert np.dot(frame.tangents[n // 4], w) == pytest.approx(0.0, abs=1e-9)
+    assert np.dot(frame.tangents[3 * n // 4], w) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_chord_arc_symmetry_and_bounds():
@@ -200,7 +198,7 @@ def test_embeddedness_detection():
 
 
 def test_near_touching_curve_is_still_embedded():
-    from csflow import gen_dumbbell
+    from csflow.harness import gen_dumbbell
 
     # waist half-width 5% of the lobe scale: close, but no contact
     assert is_embedded(gen_dumbbell(neck=0.05, n=256))

@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from csflow import __version__, cli
+from csflow import __version__, cli, comparison, geometry, harness
 from csflow.dynamics import KIND_UNNORMALIZED, TERM_END, FlowConfig
 from csflow.errors import ConfigError, GenerationFailure, NotEmbedded
 from csflow.geometry import (
     DiscreteCurve,
+    all_pairs_chord_arc,
     build_frame,
     canonical_scale,
     is_embedded,
@@ -321,6 +322,22 @@ def test_profile_curve_default_output_path(ellipse_path):
     assert out_csv.exists()
 
 
+def test_profile_curve_sweeps_the_pairs_once(ellipse_path, tmp_path, monkeypatch):
+    # count guard, no timing: the summary and the pair table share one sweep
+    sweeps = []
+
+    def counting(frame):
+        sweeps.append(frame.n)
+        return all_pairs_chord_arc(frame)
+
+    for mod in (geometry, comparison, harness):
+        if getattr(mod, "all_pairs_chord_arc", None) is all_pairs_chord_arc:
+            monkeypatch.setattr(mod, "all_pairs_chord_arc", counting)
+    summary, _ = profile_curve(ellipse_path, tmp_path / "pairs.csv")
+    assert sweeps == [512]
+    assert summary.a_bar == pytest.approx(ELL512_ABAR, rel=1e-12)
+
+
 def test_profile_rejects_self_intersection(fig8_path):
     with pytest.raises(NotEmbedded):
         profile_curve(fig8_path)
@@ -389,6 +406,19 @@ def test_cli_error_contract(fig8_path, capsys):
         "message": "initial curve self-intersects",
         "context": {},
     }
+
+
+@pytest.mark.parametrize(
+    "flag", [["--t-end", "nan"], ["--t-end", "inf"], ["--embed-check-every", "-1"]]
+)
+def test_cli_rejects_bad_flow_config(flag, capsys):
+    rc = cli.main(
+        ["run", "--generator", "ellipse", "--n", "64", "--no-persist", *flag]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "ConfigError"
 
 
 def test_cli_verify_identities(capsys):
