@@ -58,14 +58,18 @@ def _validate_x(x: np.ndarray) -> None:
         )
 
 
-def _uz(x, t):
-    """Common pieces sin(x/2) and z = e^{-t} sin(x/2), overflow-hardened."""
+def _uz(x, t, u=None):
+    """Common pieces sin(x/2) and z = e^{-t} sin(x/2), overflow-hardened.
+
+    ``u``, when given, is sin(x/2) already computed by the caller.
+    """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     _validate_x(x)
     if not np.all(np.isfinite(t)):
         raise DomainError("time argument must be finite")
-    u = np.sin(0.5 * x)
+    if u is None:
+        u = np.sin(0.5 * x)
     with np.errstate(over="ignore"):
         z = np.exp(-t) * u
     # e^{-t} may overflow where u == 0; the product is 0 there
@@ -91,10 +95,15 @@ def f_eval(x, t):
     float or ndarray
     """
     scalar = np.isscalar(x) and np.isscalar(t)
-    u, z = _uz(x, t)
+    return _maybe_scalar(np.asarray(_f_u(x, t)), scalar)
+
+
+def _f_u(x, t, u=None):
+    """f(x, t) as an array, reusing u = sin(x/2) when the caller has it."""
+    u, z = _uz(x, t, u)
     safe = np.where(z > 0.0, z, 1.0)
     ratio = np.where(z > 0.0, np.arctan(safe) / safe, 1.0)
-    return _maybe_scalar(np.asarray(2.0 * u * ratio), scalar)
+    return 2.0 * u * ratio
 
 
 def f_x(x, t):
@@ -275,28 +284,56 @@ _PSI_LOGIT, _PSI_LOG_Z = _psi_table()
 _PRUNE_SLACK = 1e-13
 
 
-def _sup_a(d: np.ndarray, ell: np.ndarray) -> tuple[int, float, int]:
-    """Flat argmax, maximum and active count of a_solve(d, ell).
+class _SupA:
+    """Running off-diagonal supremum of a over blocks of pairs fed in order.
 
-    Bit for bit the same as np.argmax, max and np.count_nonzero of
-    a_solve(d, ell), with the same DomainErrors, but roots are solved only
-    for a pivot and the pairs that survive its prune (see profile).
+    :meth:`result` is bit for bit np.argmax, max and np.count_nonzero of
+    a_solve over every pair fed, but roots are solved only for a few
+    pivots and the pairs that survive their prune (see profile).
     """
-    _validate_pairs(d, ell)
-    u = np.sin(0.5 * ell)
-    active = np.flatnonzero(d < 2.0 * u)
-    if active.size == 0:
-        return 0, 0.0, 0
-    d_act, u_act = d[active], u[active]
-    # a u = psi(d / 2u), and the logit of d / 2u is log d - log(2u - d)
-    logit = np.log(d_act) - np.log(2.0 * u_act - d_act)
-    log_a_est = np.interp(logit, _PSI_LOGIT, _PSI_LOG_Z) - np.log(u_act)
-    p = int(np.argmax(log_a_est))
-    floor = _a_root(d_act[p : p + 1], u_act[p : p + 1])[0] * (1.0 - 1e-9)
-    keep = np.flatnonzero(_phi(floor, u_act) >= d_act * (1.0 - _PRUNE_SLACK))
-    roots = _a_root(d_act[keep], u_act[keep])
-    k = int(np.argmax(roots))
-    return int(active[keep[k]]), float(roots[k]), int(active.size)
+
+    def __init__(self):
+        self.n_active = 0
+        self.best_est = -math.inf  # largest log-estimate solved as a pivot
+        self.floor = 0.0  # running prune level A
+        self.kept = []  # (flat index, d, u) of the pairs that passed the prune
+
+    def add(self, start: int, d: np.ndarray, u: np.ndarray) -> None:
+        """Fold in checked pairs with flat indices start, start + 1, ... and
+        u = sin(ell/2)."""
+        active = np.flatnonzero(d < 2.0 * u)
+        if active.size == 0:
+            return
+        self.n_active += active.size
+        if self.floor > 0.0:
+            # after the first pivot, only pairs that pass at the level matter
+            active = active[self._passes(d[active], u[active])]
+            if active.size == 0:
+                return
+        d_act, u_act = d[active], u[active]
+        # a u = psi(d / 2u), and the logit of d / 2u is log d - log(2u - d)
+        logit = np.log(d_act) - np.log(2.0 * u_act - d_act)
+        log_a_est = np.interp(logit, _PSI_LOGIT, _PSI_LOG_Z) - np.log(u_act)
+        p = int(np.argmax(log_a_est))
+        if log_a_est[p] > self.best_est:
+            self.best_est = log_a_est[p]
+            a_p = _a_root(d_act[p : p + 1], u_act[p : p + 1])[0]
+            self.floor = max(self.floor, a_p * (1.0 - 1e-9))
+        keep = np.flatnonzero(self._passes(d_act, u_act))
+        self.kept.append((start + active[keep], d_act[keep], u_act[keep]))
+
+    def _passes(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _phi(self.floor, u) >= d * (1.0 - _PRUNE_SLACK)
+
+    def result(self) -> tuple[int, float, int]:
+        """Flat argmax, maximum and active count over every pair fed."""
+        if self.n_active == 0:
+            return 0, 0.0, 0
+        index, d, u = (np.concatenate(parts) for parts in zip(*self.kept))
+        keep = self._passes(d, u)  # again, at the final floor
+        roots = _a_root(d[keep], u[keep])
+        k = int(np.argmax(roots))
+        return int(index[keep][k]), float(roots[k]), self.n_active
 
 
 def a_diagonal(k):
@@ -367,20 +404,71 @@ class ProfileSummary:
         return ComparisonOffset(t_bar=self.t_bar, round_circle=self.round_circle)
 
 
-def _canonical_pairs(frame: CurveFrame):
-    """Every vertex pair's indices, chord and shorter arc (clipped to pi) of a
-    frame scaled to length 2*pi."""
+# Pairs per row block of the profile sweep: small enough that a block's
+# temporaries stay in cache, large enough to amortize the per-block calls.
+_BLOCK_PAIRS = 2**14
+
+
+def _require_canonical(frame: CurveFrame) -> None:
     if abs(frame.length - TWO_PI) > 1e-6 * TWO_PI:
         raise DomainError(
             "profile requires a curve of length 2*pi", length=frame.length
         )
-    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
-    return i_idx, j_idx, d, np.minimum(ell, math.pi)  # clip the L/2 rounding hair
 
 
-def _summary(frame, i_idx, j_idx, im_off, off_max, n_active) -> ProfileSummary:
-    """Combine the off-diagonal supremum (flat argmax, maximum, active count)
-    with the diagonal family into a ProfileSummary without Z."""
+def _row_starts(n: int) -> np.ndarray:
+    """Flat index of each row's first pair in np.triu_indices(n, k=1) order;
+    the last entry is the pair count."""
+    return np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+
+
+def _pair_at(n: int, k: int) -> tuple[int, int]:
+    """The vertex pair (i, j) at flat index k of np.triu_indices(n, k=1)."""
+    starts = _row_starts(n)
+    i = int(np.searchsorted(starts, k, side="right")) - 1
+    return i, i + 1 + k - int(starts[i])
+
+
+def _pair_blocks(frame: CurveFrame):
+    """Every vertex pair of a canonical frame in row blocks of at least
+    _BLOCK_PAIRS pairs (or the rest), in flat pair order.
+
+    Yields ``(start, i_idx, j_idx, d, ell, u)``: the flat index of the
+    block's first pair, the pairs, the chords, the shorter arcs clipped to
+    pi (the L/2 rounding hair) and u = sin(ell/2); each block has passed
+    the domain check of a_solve.
+    """
+    n = frame.n
+    starts = _row_starts(n)
+    i0 = 0
+    while i0 < n - 1:
+        i1 = max(int(np.searchsorted(starts, starts[i0] + _BLOCK_PAIRS)), i0 + 1)
+        i_idx, j_idx, d, ell = all_pairs_chord_arc(frame, i0, i1)
+        ell = np.minimum(ell, math.pi)
+        _validate_pairs(d, ell)
+        yield int(starts[i0]), i_idx, j_idx, d, ell, np.sin(0.5 * ell)
+        i0 = i1
+
+
+def _fold_min_z(best, block, t: float, offset: ComparisonOffset):
+    """Running (min Z, pair) after one block; ties go to the first pair.
+
+    Z is z_eval's value bit for bit, from the block's own u.
+    """
+    _, i_idx, j_idx, d, ell, u = block
+    if offset.round_circle:
+        z = d - 2.0 * u
+    else:
+        z = d - _f_u(ell, t - offset.t_bar, u)
+    k = int(np.argmin(z))
+    if z[k] < best[0]:
+        return float(z[k]), (int(i_idx[k]), int(j_idx[k]))
+    return best
+
+
+def _summary(frame, pair_off, off_max, n_active) -> ProfileSummary:
+    """Combine the off-diagonal supremum (its pair, maximum and active
+    count) with the diagonal family into a ProfileSummary without Z."""
     # Discrete curvature carries rounding noise of order 1e-12 around k = 1,
     # which sqrt(k^2 - 1) would inflate to ~1e-6; values of k^2 - 1 below the
     # measurement floor read as exactly round (a circle must profile to 0).
@@ -392,7 +480,7 @@ def _summary(frame, i_idx, j_idx, im_off, off_max, n_active) -> ProfileSummary:
     if diag_max >= off_max:
         a_bar, attained = diag_max, (im_diag, im_diag)
     else:
-        a_bar, attained = off_max, (int(i_idx[im_off]), int(j_idx[im_off]))
+        a_bar, attained = off_max, pair_off
 
     own = ComparisonOffset.from_a_bar(a_bar)
     return ProfileSummary(
@@ -419,52 +507,71 @@ def profile(
     evaluated against ``offset``, or against the curve's own offset when
     none is given.
 
+    The pairs are swept once, in row blocks of about _BLOCK_PAIRS pairs, so
+    memory stays O(N + block) and each block's arrays stay in cache. With an
+    explicit offset, min Z is reduced in the same sweep; the curve's own
+    offset needs a_bar first, so that case sweeps a second time for Z.
+
     The off-diagonal supremum solves a root for almost no pair. A pair is
     active when d < 2u, u = sin(l/2); the others have a = 0. Because
     phi(a, u) = 2 arctan(a u)/a is strictly decreasing in a, a pair's root
     lies at or above A exactly when phi(A, u) >= d, so one evaluation of phi
-    tells whether a pair can reach A. The pivot is the active pair with the
-    largest estimate a u = psi(d/2u), psi the inverse of arctan(z)/z read off
-    a fixed table; the estimate only picks the pivot. Its root a_p, solved as
-    a_solve would, sets A = a_p (1 - 1e-9), and only pairs that pass the test
-    at A get their root, in ascending pair order with the same elementwise
-    solver, so ties still go to the first pair.
+    tells whether a pair can reach A. In each block, the candidates are the
+    active pairs that pass the test at the running level A (all active
+    pairs before the first pivot), and the block's pivot is the candidate
+    with the largest estimate a u = psi(d/2u), psi the inverse of
+    arctan(z)/z read off a fixed table; the estimate only picks pivots. When
+    a pivot's estimate beats every earlier pivot's, its root a_p, solved as
+    a_solve would, raises the level to A = max(A, a_p (1 - 1e-9)). The
+    candidates that pass at that level are kept; at the end they are tested
+    again at the final A and get their roots, in ascending pair order with
+    the same elementwise solver, so ties still go to the first pair.
 
-    Why no pair that holds the maximum M >= a_p is dropped: its computed
-    root lies in the solver's final bracket [lo, hi], under 3e-12 wide in
-    log a, and lo is either the analytic lower bound of the root or a point
-    where the computed phi exceeded d. Either way lo > A, so phi(A, u) >=
-    phi(lo, u) >= d up to a few ulp of rounding in phi, which the test's
-    1e-13 relative slack absorbs. The result therefore equals a_solve over
-    all pairs followed by argmax and count, bit for bit.
+    Why no pair that holds the maximum M is dropped: every pivot's computed
+    root is at most M, so A <= M (1 - 1e-9) in every block and at the end.
+    The pair's computed root lies in the solver's final bracket [lo, hi],
+    under 3e-12 wide in log a, and lo is either the analytic lower bound of
+    the root or a point where the computed phi exceeded d. Either way
+    lo > A, so phi(A, u) >= phi(lo, u) >= d up to a few ulp of rounding in
+    phi, which the test's 1e-13 relative slack absorbs. The result therefore
+    equals a_solve over all pairs followed by argmax and count, bit for bit.
 
     Returns
     -------
     ProfileSummary
     """
-    i_idx, j_idx, d, ell = _canonical_pairs(frame)
-    summary = _summary(frame, i_idx, j_idx, *_sup_a(d, ell))
-    z = z_eval(d, ell, t, summary.offset if offset is None else offset)
-    im_z = int(np.argmin(z))
-    return replace(
-        summary,
-        min_z=float(z[im_z]),
-        min_z_pair=(int(i_idx[im_z]), int(j_idx[im_z])),
-    )
+    _require_canonical(frame)
+    sup = _SupA()
+    best_z = (math.inf, None)
+    for block in _pair_blocks(frame):
+        start, _, _, d, _, u = block
+        sup.add(start, d, u)
+        if offset is not None:
+            best_z = _fold_min_z(best_z, block, t, offset)
+    im, off_max, n_active = sup.result()
+    summary = _summary(frame, _pair_at(frame.n, im), off_max, n_active)
+    if offset is None:
+        for block in _pair_blocks(frame):
+            best_z = _fold_min_z(best_z, block, t, summary.offset)
+    return replace(summary, min_z=best_z[0], min_z_pair=best_z[1])
 
 
 def ratio_table(frame: CurveFrame):
     """The profile without Z, plus the ratio a of every vertex pair.
 
-    One sweep: a_solve over all pairs gives both the table and the
-    off-diagonal supremum (argmax, max and count of the same array that
-    :func:`profile` prunes to). Returns ``(summary, ell, d, a)``.
+    One whole-range sweep, since the table needs every pair: a_solve over
+    all pairs gives both the table and the off-diagonal supremum (argmax,
+    max and count of the same array that :func:`profile` prunes to).
+    Returns ``(summary, ell, d, a)``.
     """
-    i_idx, j_idx, d, ell = _canonical_pairs(frame)
+    _require_canonical(frame)
+    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
+    ell = np.minimum(ell, math.pi)  # clip the L/2 rounding hair
     a = a_solve(d, ell)
     im = int(np.argmax(a))
     n_active = int(np.count_nonzero(a))
-    return _summary(frame, i_idx, j_idx, im, float(a[im]), n_active), ell, d, a
+    pair = (int(i_idx[im]), int(j_idx[im]))
+    return _summary(frame, pair, float(a[im]), n_active), ell, d, a
 
 
 # -- identity and inequality sweeps ------------------------------------------

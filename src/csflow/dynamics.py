@@ -17,6 +17,7 @@ falling back to the snapshot grid for trajectories rebuilt from disk.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -81,6 +82,17 @@ class FlowConfig:
     embed_check_every: int = 10
 
     def __post_init__(self):
+        # bool is an int subclass, and a JSON spec may carry any type
+        for name in ("n", "resample_every", "snapshot_every", "embed_check_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("dt", "safety", "t_end"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.adaptive, bool):
+            raise ConfigError(f"adaptive must be true or false, got {self.adaptive!r}")
         if self.kind not in (KIND_NORMALIZED, KIND_UNNORMALIZED):
             raise ConfigError(f"unknown run kind: {self.kind!r}")
         if self.scheme not in (SCHEME_EXPLICIT, SCHEME_SEMI_IMPLICIT):

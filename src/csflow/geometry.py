@@ -358,17 +358,22 @@ def chord_arc(frame: CurveFrame, i: int, j: int):
     return d, ell, (float(w[0]), float(w[1])), theta
 
 
-def all_pairs_chord_arc(frame: CurveFrame):
-    """Chord and shorter-arc lengths for every unordered vertex pair.
+def all_pairs_chord_arc(frame: CurveFrame, i0: int = 0, i1: int | None = None):
+    """Chord and shorter-arc lengths for the unordered vertex pairs i < j
+    whose row i lies in ``i0 <= i < i1`` (by default every row).
 
-    Returns ``(i_idx, j_idx, d, ell)`` as flat arrays over the
-    ``n*(n-1)/2`` pairs with i < j.
+    Returns ``(i_idx, j_idx, d, ell)`` as flat arrays in
+    ``np.triu_indices(n, k=1)`` order; the whole range holds the
+    ``n*(n-1)/2`` pairs, and row ranges that tile it concatenate to it.
     """
-    v = frame.vertices
-    s = frame.arclength
-    i_idx, j_idx = np.triu_indices(frame.n, k=1)
-    diff = v[j_idx] - v[i_idx]
-    d = np.hypot(diff[:, 0], diff[:, 1])
+    n = frame.n
+    rows = np.arange(i0, n if i1 is None else i1)
+    counts = n - 1 - rows
+    first = np.cumsum(counts) - counts  # offset of each row's first pair
+    i_idx = np.repeat(rows, counts)
+    j_idx = np.arange(int(counts.sum())) + np.repeat(rows + 1 - first, counts)
+    x, y, s = frame.vertices[:, 0], frame.vertices[:, 1], frame.arclength
+    d = np.hypot(x[j_idx] - x[i_idx], y[j_idx] - y[i_idx])
     arc = s[j_idx] - s[i_idx]
     ell = np.minimum(arc, frame.length - arc)
     return i_idx, j_idx, d, ell

@@ -79,6 +79,10 @@ ALL_CHECKS = ("distance-comparison", "abar-decay", "curvature-bound", "convergen
 _FOURIER_AMPLITUDE = 0.15
 _FOURIER_ATTEMPTS = 100
 
+# Rows per write of the profile CSV: the text of all n(n-1)/2 rows is never
+# held at once.
+_CSV_ROWS = 2**14
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -454,10 +458,12 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
         if out_csv is not None
         else Path(path).with_suffix(".profile.csv")
     )
-    lines = ["l,d,a"]
-    for row in zip(ell, d, a):
-        lines.append(",".join(_fmt(v) for v in row))
-    out_csv.write_text("\n".join(lines) + "\n")
+    with open(out_csv, "w") as fh:
+        fh.write("l,d,a\n")
+        for k in range(0, a.size, _CSV_ROWS):
+            cols = (c[k : k + _CSV_ROWS].tolist() for c in (ell, d, a))
+            # "%.17g" formats a float exactly as _fmt does
+            fh.write("".join(["%.17g,%.17g,%.17g\n" % row for row in zip(*cols)]))
     return summary, out_csv
 
 

@@ -1,6 +1,7 @@
 """Barrier function, ratio solver, profiles, and analytic identity sweeps."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,9 @@ from csflow.comparison import (
     A_CAP,
     AnalyticEllipse,
     ComparisonOffset,
+    ProfileSummary,
+    _SupA,
     _a_root,
-    _sup_a,
     a_diagonal,
     a_solve,
     check_L_dominates,
@@ -344,7 +346,7 @@ def test_ratio_table_matches_profile_and_a_solve(make):
     assert summary == replace(full, min_z=None, min_z_pair=None)
 
 
-# -- the pruned supremum against the all-roots oracle ----------------------------
+# -- the pruned, blocked sweep against the all-roots oracle -----------------------
 
 
 def _sup_a_all_roots(d, ell):
@@ -354,16 +356,43 @@ def _sup_a_all_roots(d, ell):
     return im, float(a[im]), int(np.count_nonzero(a))
 
 
-def _profile_all_roots(frame):
-    """The old profile's a_bar, attained pair, off-diagonal max and n_active."""
+def _blocked_sup_a(d, ell, cuts=()):
+    """_SupA fed the pairs in the blocks that ``cuts`` marks off."""
+    sup = _SupA()
+    bounds = [0, *cuts, d.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        sup.add(a, d[a:b], np.sin(0.5 * ell[a:b]))
+    return sup.result()
+
+
+def _profile_all_roots(frame, offset=None, t=0.0):
+    """The whole profile from one whole-range sweep: a_solve on every pair,
+    argmax and count, the diagonal family, and z_eval with argmin."""
     i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
-    im, off_max, n_active = _sup_a_all_roots(d, np.minimum(ell, math.pi))
+    ell = np.minimum(ell, math.pi)
+    im, off_max, n_active = _sup_a_all_roots(d, ell)
     k = frame.curvature
     a_diag = np.where(k * k - 1.0 <= _DIAG_NOISE_FLOOR, 0.0, a_diagonal(k))
     i_diag = int(np.argmax(a_diag))
     if a_diag[i_diag] >= off_max:
-        return float(a_diag[i_diag]), (i_diag, i_diag), off_max, n_active
-    return off_max, (int(i_idx[im]), int(j_idx[im])), off_max, n_active
+        a_bar, attained = float(a_diag[i_diag]), (i_diag, i_diag)
+    else:
+        a_bar, attained = off_max, (int(i_idx[im]), int(j_idx[im]))
+    own = ComparisonOffset.from_a_bar(a_bar)
+    z = z_eval(d, ell, t, own if offset is None else offset)
+    iz = int(np.argmin(z))
+    return ProfileSummary(
+        a_bar=a_bar,
+        t_bar=own.t_bar,
+        round_circle=own.round_circle,
+        attained=attained,
+        diagonal_max=float(a_diag[i_diag]),
+        offdiagonal_max=off_max,
+        n_active=n_active,
+        saturated=bool(a_bar >= 0.999 * A_CAP),
+        min_z=float(z[iz]),
+        min_z_pair=(int(i_idx[iz]), int(j_idx[iz])),
+    )
 
 
 def _pairs_from_roots(a, ell):
@@ -379,7 +408,10 @@ def chord_arc_arrays(draw):
     exact duplicates (ties), and pairs that saturate at A_CAP."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_active = draw(st.integers(0, 300))
-    lo, hi = sorted(draw(st.lists(st.floats(-7.0, 5.0), min_size=2, max_size=2)))
+    # + 0.0 turns -0.0 into 0.0: sorted() keeps [0.0, -0.0] in that order,
+    # and rng.uniform rejects a high below its low by sign
+    bounds = draw(st.lists(st.floats(-7.0, 5.0), min_size=2, max_size=2))
+    lo, hi = sorted(x + 0.0 for x in bounds)
     ell = rng.uniform(1e-3, math.pi, n_active)
     a = 10.0 ** rng.uniform(lo, hi, n_active)
     n_shared = draw(st.integers(0, n_active))
@@ -403,45 +435,140 @@ def chord_arc_arrays(draw):
     return d[order], ell[order]
 
 
-@given(pairs=chord_arc_arrays())
+@st.composite
+def blocked_chord_arc_arrays(draw):
+    """chord_arc_arrays cut into blocks at random boundaries, sometimes with
+    a copy of the maximal pair just across a boundary (a straddling tie)."""
+    d, ell = draw(chord_arc_arrays())
+    if d.size < 2:
+        return d, ell, []
+    cuts = sorted(set(draw(st.lists(st.integers(1, d.size - 1), max_size=12))))
+    if cuts and draw(st.booleans()):
+        c = draw(st.sampled_from(cuts))
+        top = int(np.argmax(a_solve(d, ell)))
+        lo = draw(st.integers(0, c - 1))
+        d[[lo, c]], ell[[lo, c]] = d[top], ell[top]
+    return d, ell, cuts
+
+
+@given(pairs=blocked_chord_arc_arrays())
 @settings(max_examples=300, deadline=None)
 def test_sup_a_matches_all_roots_bit_for_bit(pairs):
-    d, ell = pairs
+    d, ell, cuts = pairs
     if d.size == 0:
         return
-    assert _sup_a(d, ell) == _sup_a_all_roots(d, ell)
+    want = _sup_a_all_roots(d, ell)
+    assert _blocked_sup_a(d, ell) == want
+    assert _blocked_sup_a(d, ell, cuts) == want
+    assert _blocked_sup_a(d, ell, range(1, d.size)) == want  # one pair per block
+
+
+@given(pairs=blocked_chord_arc_arrays(), t=st.floats(-3.0, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_blocked_min_z_matches_z_eval_bit_for_bit(pairs, t):
+    d, ell, cuts = pairs
+    if d.size == 0:
+        return
+    offset = ComparisonOffset(t_bar=0.3)
+    if cuts:  # a tie at the minimum on both sides of the first boundary
+        low = int(np.argmin(z_eval(d, ell, t, offset)))
+        d[[cuts[0] - 1, cuts[0]]], ell[[cuts[0] - 1, cuts[0]]] = d[low], ell[low]
+    flat = np.arange(d.size)
+    for off in (offset, ComparisonOffset(t_bar=-math.inf, round_circle=True)):
+        z = z_eval(d, ell, t, off)
+        want = float(z.min()), (int(np.argmin(z)),) * 2
+        best = (math.inf, None)
+        bounds = [0, *cuts, d.size]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            u = np.sin(0.5 * ell[a:b])
+            block = (a, flat[a:b], flat[a:b], d[a:b], ell[a:b], u)
+            best = comparison._fold_min_z(best, block, t, off)
+        assert best == want
+
+
+@pytest.mark.parametrize("n", [8, 9, 300])
+def test_pair_blocks_tile_every_pair_in_order(n, monkeypatch):
+    frame = build_frame(canonical_scale(gen_fourier(n, 4, n)))
+    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
+    ell = np.minimum(ell, math.pi)
+    for block_pairs in (comparison._BLOCK_PAIRS, 1, 7, 10**9):
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+        blocks = list(comparison._pair_blocks(frame))
+        if block_pairs == 1:
+            assert len(blocks) == n - 1  # one row per block
+        starts = [b[0] for b in blocks]
+        assert starts == list(np.cumsum([0] + [b[1].size for b in blocks[:-1]]))
+        got = [np.concatenate(col) for col in list(zip(*blocks))[1:]]
+        for have, want in zip(got, (i_idx, j_idx, d, ell, np.sin(0.5 * ell))):
+            assert np.array_equal(have, want)
+        for k in (0, n - 2, d.size // 2, d.size - 1):
+            assert comparison._pair_at(n, k) == (i_idx[k], j_idx[k])
 
 
 def test_sup_a_edge_cases_match_all_roots():
+    def check(d, ell):
+        want = _sup_a_all_roots(d, ell)
+        for cuts in ((), range(1, d.size), (d.size // 2,)):
+            assert _blocked_sup_a(d, ell, cuts) == want
+        return want
+
     ell = np.linspace(0.5, math.pi, 7)
     round_chords = 2.0 * np.sin(ell / 2)
-    assert _sup_a(round_chords, ell) == (0, 0.0, 0)  # all inactive
+    assert _blocked_sup_a(round_chords, ell) == (0, 0.0, 0)  # all inactive
     d = round_chords.copy()
     d[4] *= 0.9  # a single active pair
-    assert _sup_a(d, ell) == _sup_a_all_roots(d, ell)
-    assert _sup_a(d, ell)[0] == 4
+    assert check(d, ell)[0] == 4
     tied = np.full(6, 1.0), np.full(6, math.pi)  # ties go to the first index
-    assert _sup_a(*tied) == _sup_a_all_roots(*tied)
-    assert _sup_a(*tied)[0] == 0
+    assert check(*tied)[0] == 0
     sat = np.array([0.5, 1e-305, 1e-306, 1.0]), np.array([1.0, 2.0, 3.0, 3.0])
-    assert _sup_a(*sat) == _sup_a_all_roots(*sat)
-    assert _sup_a(*sat)[:2] == (1, A_CAP)  # both saturate; the first wins
+    assert check(*sat)[:2] == (1, A_CAP)  # both saturate; the first wins
+    # the maximum sits in a late block, after a block with a lower maximum
+    rising = _pairs_from_roots(np.array([1.0, 2.0, 4.0, 4.0]), np.full(4, 2.0))
+    assert check(rising, np.full(4, 2.0))[0] == 2
 
 
-def test_sup_a_raises_the_domain_errors_of_a_solve():
-    ell = np.array([1.0, 2.0])
-    for d in (np.array([0.5, 0.0]), np.array([0.5, -1.0])):
-        with pytest.raises(DomainError, match="chord length must be positive"):
-            _sup_a(d, ell)
-    past = np.array([0.5, 2.0 * (1.0 + 2e-9)])
+def _with_bad_pair(d=None, ell=None):
+    """A pair kernel that corrupts the last pair of every row block but the
+    first, and records the row ranges asked of it."""
+
+    def kernel(frame, i0=0, i1=None):
+        kernel.ranges.append((i0, i1))
+        i_idx, j_idx, d_blk, ell_blk = all_pairs_chord_arc(frame, i0, i1)
+        if i0 > 0 and d_blk.size:
+            d_blk, ell_blk = d_blk.copy(), ell_blk.copy()
+            if d is not None:
+                d_blk[-1] = d(ell_blk[-1])
+            if ell is not None:
+                ell_blk[-1] = ell
+        return i_idx, j_idx, d_blk, ell_blk
+
+    kernel.ranges = []
+    return kernel
+
+
+def test_sup_a_raises_the_domain_errors_of_a_solve(monkeypatch):
+    # every block of the sweep is checked like a_solve's input
+    frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 256)))
+    for bad, match in (
+        (_with_bad_pair(d=lambda l: 0.0), "chord length must be positive"),
+        (_with_bad_pair(d=lambda l: -1.0), "chord length must be positive"),
+        (_with_bad_pair(ell=0.0), "arc length"),
+    ):
+        monkeypatch.setattr(comparison, "all_pairs_chord_arc", bad)
+        with pytest.raises(DomainError, match=match):
+            profile(frame)
+    past = _with_bad_pair(d=lambda l: l * (1.0 + 2e-9))
+    monkeypatch.setattr(comparison, "all_pairs_chord_arc", past)
     with pytest.raises(DomainError, match="chord exceeds arc") as got:
-        _sup_a(past, ell)
+        profile(frame)
+    assert len(past.ranges) == 2  # the second block raised
+    _, _, d, ell = past(frame, *past.ranges[-1])
     with pytest.raises(DomainError) as want:
-        a_solve(past, ell)
+        a_solve(d, np.minimum(ell, math.pi))
     assert got.value.to_json_dict() == want.value.to_json_dict()
-    _sup_a(np.array([0.5, 2.0 * (1.0 + 5e-10)]), ell)  # inside the 1e-9 slack
-    with pytest.raises(DomainError, match="arc length"):
-        _sup_a(np.array([0.5]), np.array([3.5]))
+    inside = _with_bad_pair(d=lambda l: l * (1.0 + 5e-10))  # within the slack
+    monkeypatch.setattr(comparison, "all_pairs_chord_arc", inside)
+    profile(frame)
 
 
 @pytest.mark.parametrize(
@@ -458,14 +585,19 @@ def test_sup_a_raises_the_domain_errors_of_a_solve():
         lambda: gen_fourier(7, 3, 256),
     ],
 )
-def test_profile_matches_all_roots_oracle(make):
+def test_profile_matches_all_roots_oracle(make, monkeypatch):
     frame = build_frame(canonical_scale(make()))
-    summary = profile(frame)
-    a_bar, attained, off_max, n_active = _profile_all_roots(frame)
-    assert summary.a_bar == a_bar
-    assert summary.attained == attained
-    assert summary.offdiagonal_max == off_max
-    assert summary.n_active == n_active
+    offsets = [
+        (None, 0.0),
+        (None, 0.7),
+        (ComparisonOffset(t_bar=0.4), 0.3),
+        (ComparisonOffset(t_bar=-math.inf, round_circle=True), 0.0),
+    ]
+    want = [_profile_all_roots(frame, offset, t) for offset, t in offsets]
+    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+        got = [profile(frame, offset, t) for offset, t in offsets]
+        assert got == want  # every field, min_z and min_z_pair too
 
 
 def test_profile_solves_roots_for_under_one_percent_of_active_pairs(monkeypatch):
@@ -481,6 +613,20 @@ def test_profile_solves_roots_for_under_one_percent_of_active_pairs(monkeypatch)
     assert summary.a_bar == pytest.approx(DUMB512_ABAR, rel=1e-12)
     assert summary.n_active > 60_000
     assert sum(solved) < 0.01 * summary.n_active
+
+
+def test_profile_memory_stays_bounded_at_n_2048():
+    # memory guard, no timing: the sweep holds one row block of pairs at a
+    # time, where whole-range arrays of 2,096,128 pairs peaked near 150 MiB
+    frame = build_frame(canonical_scale(gen_dumbbell(0.2, 2048)))
+    tracemalloc.start()
+    try:
+        summary = profile(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.n_active > 0
+    assert peak < 16 * 2**20
 
 
 # -- identity and inequality sweeps ---------------------------------------------

@@ -94,6 +94,29 @@ def test_flow_config_rejects_nonfinite_end_and_negative_cadence(bad):
     with pytest.raises(ConfigError):
         FlowConfig.from_json_dict({**FlowConfig().to_json_dict(), **bad})
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n": 64.5},
+        {"n": "64"},
+        {"n": True},
+        {"snapshot_every": 2.5},
+        {"resample_every": None},
+        {"embed_check_every": False},
+        {"dt": "0.001"},
+        {"safety": True},
+        {"t_end": "6"},
+        {"adaptive": "false"},
+        {"adaptive": 1},
+    ],
+)
+def test_flow_config_rejects_wrong_field_types(bad):
+    with pytest.raises(ConfigError):
+        FlowConfig(**bad)
+    with pytest.raises(ConfigError):
+        FlowConfig.from_json_dict({**FlowConfig().to_json_dict(), **bad})
+
+
 def test_flow_config_json_round_trip():
     cfg = FlowConfig(kind="unnormalized", n=128, scheme="explicit", dt=5e-5,
                      adaptive=True, t_end=0.4)

@@ -187,6 +187,28 @@ def test_all_pairs_matches_single_pair_queries():
         assert ell[k] == pytest.approx(ell1, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [8, 9, 64, 301])
+def test_all_pairs_row_blocks_concatenate_to_whole_range(n):
+    frame = build_frame(canonical_scale(gen_fourier(n, 4, n)))
+    whole = all_pairs_chord_arc(frame)
+    ii, jj = np.triu_indices(n, k=1)
+    assert np.array_equal(whole[0], ii) and np.array_equal(whole[1], jj)
+    assert whole[0].dtype == ii.dtype and whole[1].dtype == jj.dtype
+    # the (N, 2) gather of the vertex rows, bit for bit
+    diff = frame.vertices[jj] - frame.vertices[ii]
+    assert np.array_equal(whole[2], np.hypot(diff[:, 0], diff[:, 1]))
+    rng = np.random.default_rng(n)
+    tilings = [
+        list(range(n + 1)),  # one row per block, and the empty last row
+        [0, *sorted(rng.choice(np.arange(1, n), size=min(5, n - 1), replace=False)), n],
+        [0, n - 1],  # the last row has no pair
+    ]
+    for cuts in tilings:
+        parts = [all_pairs_chord_arc(frame, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        for got, want in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(got), want)
+
+
 # -- embeddedness -------------------------------------------------------------
 
 

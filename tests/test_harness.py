@@ -316,6 +316,21 @@ def test_profile_curve_writes_pair_table(ellipse_path, tmp_path):
     assert float(first[0]) == pytest.approx(TWO_PI / 512, rel=1e-2)
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_profile_curve_csv_matches_whole_text_writer(
+    ellipse_path, tmp_path, monkeypatch, chunk_rows
+):
+    # the chunked writer emits exactly the text of one join over every row
+    if chunk_rows is not None:
+        monkeypatch.setattr(harness, "_CSV_ROWS", chunk_rows)
+    _, out_csv = profile_curve(ellipse_path, tmp_path / "pairs.csv")
+    curve = geometry.canonical_scale(geometry.load_curve(ellipse_path))
+    _, ell, d, a = comparison.ratio_table(geometry.build_frame(curve))
+    rows = [",".join(harness._fmt(v) for v in row) for row in zip(ell, d, a)]
+    lines = ["l,d,a", *rows]
+    assert out_csv.read_text() == "\n".join(lines) + "\n"
+
+
 def test_profile_curve_default_output_path(ellipse_path):
     _, out_csv = profile_curve(ellipse_path)
     assert out_csv == ellipse_path.with_suffix(".profile.csv")
@@ -419,6 +434,22 @@ def test_cli_rejects_bad_flow_config(flag, capsys):
     assert rc == 2
     assert captured.out == ""
     assert json.loads(captured.err)["kind"] == "ConfigError"
+
+
+def test_mistyped_flow_fields_are_config_errors(capsys):
+    # a JSON spec reaches FlowConfig with whatever types it carries
+    for field, value in (("n", "64"), ("n", 64.5), ("dt", "0.001")):
+        wire = {
+            "generator": "circle",
+            "flow": {**FlowConfig().to_json_dict(), field: value},
+        }
+        with pytest.raises(ConfigError):
+            RunSpec.from_json_dict(wire)
+    # the CLI parses its flags to the right types, and rejects the rest
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--generator", "ellipse", "--n", "64.5", "--no-persist"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_verify_identities(capsys):
