@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` (integrate a flow and check the bounds along it),
 ``verify-identities`` (the closed-form check suite), ``profile`` (static
-chord/arc profile of a curve file), ``bench`` (steps/second).
+chord/arc profile of a curve file).
 
 Failures surface as a single-line JSON object {kind, message, context} on
 standard error with exit status 2; checks that ran but did not hold exit 1.
@@ -23,9 +23,9 @@ from .dynamics import (
 )
 from .errors import CsflowError
 from .harness import (
+    _GENERATORS,
     ALL_CHECKS,
     RunSpec,
-    bench,
     execute,
     profile_curve,
     verify_identities,
@@ -38,12 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Shortening-flow laboratory: runs, bound checks, identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = FlowConfig()
 
     p_run = sub.add_parser("run", help="integrate a flow and check bounds")
     src = p_run.add_mutually_exclusive_group()
     src.add_argument(
         "--generator",
-        choices=["circle", "ellipse", "dumbbell", "fourier"],
+        choices=list(_GENERATORS),
         default=None,
         help="initial curve family (default: circle)",
     )
@@ -54,24 +55,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--neck", type=float, default=0.2, help="dumbbell waist ratio")
     p_run.add_argument("--modes", type=int, default=6, help="fourier mode count")
     p_run.add_argument("--seed", type=int, default=1, help="generator RNG seed")
-    p_run.add_argument("--n", type=int, default=512, help="vertex count")
+    p_run.add_argument("--n", type=int, default=defaults.n, help="vertex count")
     p_run.add_argument(
-        "--kind",
-        choices=[KIND_NORMALIZED, KIND_UNNORMALIZED],
-        default=KIND_NORMALIZED,
+        "--kind", choices=[KIND_NORMALIZED, KIND_UNNORMALIZED], default=defaults.kind
     )
     p_run.add_argument(
         "--scheme",
         choices=[SCHEME_EXPLICIT, SCHEME_SEMI_IMPLICIT],
-        default=SCHEME_SEMI_IMPLICIT,
+        default=defaults.scheme,
     )
-    p_run.add_argument("--dt", type=float, default=1e-3, help="step (or adaptive cap)")
+    p_run.add_argument(
+        "--dt", type=float, default=defaults.dt, help="step (or adaptive cap)"
+    )
     p_run.add_argument("--adaptive", action="store_true", help="adapt dt to k_max")
-    p_run.add_argument("--safety", type=float, default=0.25, help="adaptive factor")
-    p_run.add_argument("--t-end", type=float, default=6.0, help="end time")
-    p_run.add_argument("--resample-every", type=int, default=20, metavar="STEPS")
-    p_run.add_argument("--snapshot-every", type=int, default=10, metavar="STEPS")
-    p_run.add_argument("--embed-check-every", type=int, default=10, metavar="STEPS")
+    p_run.add_argument(
+        "--safety", type=float, default=defaults.safety, help="adaptive factor"
+    )
+    p_run.add_argument("--t-end", type=float, default=defaults.t_end, help="end time")
+    p_run.add_argument(
+        "--resample-every", type=int, default=defaults.resample_every, metavar="STEPS"
+    )
+    p_run.add_argument(
+        "--snapshot-every", type=int, default=defaults.snapshot_every, metavar="STEPS"
+    )
+    p_run.add_argument(
+        "--embed-check-every",
+        type=int,
+        default=defaults.embed_check_every,
+        metavar="STEPS",
+    )
     p_run.add_argument(
         "--check",
         action="append",
@@ -98,11 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("input", help="curve file (.json or .csv)")
     p_prof.add_argument("--out", default=None, help="pair table CSV path")
     p_prof.set_defaults(func=_cmd_profile)
-
-    p_bench = sub.add_parser("bench", help="steps/second of both schemes")
-    p_bench.add_argument("--n", type=int, default=512)
-    p_bench.add_argument("--steps", type=int, default=200)
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -191,12 +198,6 @@ def _cmd_profile(args) -> int:
     print(f"off-diagonal max = {summary.offdiagonal_max:.12g}")
     print(f"active pairs: {summary.n_active}")
     print(f"pair table: {out_csv}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    for scheme, rate in bench(args.n, args.steps).items():
-        print(f"{scheme}: {rate:.0f} steps/s at n = {args.n}")
     return 0
 
 

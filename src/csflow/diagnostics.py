@@ -24,6 +24,7 @@ import numpy as np
 from .comparison import ProfileSummary, profile
 from .dynamics import KIND_NORMALIZED, Trajectory
 from .errors import DomainError, WrongRunKind
+from .geometry import cyclic_shift
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +42,8 @@ class BoundReport:
     ``margin`` is oriented so that positive means satisfied: bound minus
     measured for upper bounds, measured minus bound for lower bounds (the
     curvature check stores it relative to the bound). The check passes when
-    the worst margin stays above ``-tolerance``.
+    the worst margin stays at or above ``-tolerance``: always on an empty
+    series, never when a margin is NaN.
     """
 
     name: str
@@ -50,11 +52,14 @@ class BoundReport:
     bound: np.ndarray
     margin: np.ndarray
     tolerance: float
-    passed: bool
 
     @property
     def worst_margin(self) -> float:
         return float(np.min(self.margin)) if self.margin.size else math.inf
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_margin >= -self.tolerance
 
     def to_json_dict(self) -> dict:
         series = [
@@ -114,7 +119,6 @@ class ConvergenceMetrics:
             bound=self.l2_bound,
             margin=margin,
             tolerance=tol_rel,
-            passed=bool(np.all(margin >= -tol_rel)),
         )
 
 
@@ -166,7 +170,6 @@ def check_distance_comparison(
         bound=np.zeros_like(min_z),
         margin=min_z,
         tolerance=tol,
-        passed=bool(np.all(min_z >= -tol)),
     )
 
 
@@ -194,7 +197,6 @@ def check_abar_decay(
         bound=bound,
         margin=margin,
         tolerance=tol,
-        passed=bool(margin.size == 0 or np.all(margin >= -tol)),
     )
 
 
@@ -229,7 +231,6 @@ def check_curvature_bound(
         bound=bound,
         margin=margin,
         tolerance=tol,
-        passed=bool(np.all(margin >= -tol)),
     )
 
 
@@ -269,7 +270,7 @@ def convergence_metrics(
         center[i] = c
         radius[i] = r
         circle_dist[i] = float(np.max(np.abs(rho - r)))
-        sup_dk[i] = float(np.max(np.abs(np.roll(k, -1) - k) / fr.edge_lengths))
+        sup_dk[i] = float(np.max(np.abs(cyclic_shift(k, -1) - k) / fr.edge_lengths))
 
     k_min = np.array([s.frame.k_min for s in traj.snapshots])
     if k_min[0] <= 0.0 and np.any(k_min > 0.0):

@@ -30,8 +30,6 @@ from .errors import (
     DomainError,
     NotEmbedded,
     NumericalBlowup,
-    ResampleFailure,
-    SelfIntersection,
     WrongRunKind,
 )
 from .geometry import (
@@ -39,6 +37,7 @@ from .geometry import (
     CurveFrame,
     build_frame,
     canonical_scale,
+    cyclic_shift,
     is_embedded,
     polygon_length,
     resample_uniform,
@@ -271,18 +270,14 @@ def _solve_cyclic_tridiagonal(
 def _implicit_laplacian_solve(frame: CurveFrame, dt: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - dt * D_ss) x = rhs on the frame's arclength mesh."""
     h = frame.edge_lengths
-    h_prev = np.roll(h, 1)
+    h_prev = cyclic_shift(h, 1)
     a = 2.0 / (h_prev * (h_prev + h))  # weight of x[i-1]
     c = 2.0 / (h * (h_prev + h))  # weight of x[i+1]
     return _solve_cyclic_tridiagonal(-dt * a, 1.0 + dt * (a + c), -dt * c, rhs)
 
 
 def _finish_step(
-    snapshot: Snapshot,
-    new_vertices: np.ndarray,
-    dt: float,
-    rescale: bool,
-    check_embedded: bool,
+    snapshot: Snapshot, new_vertices: np.ndarray, dt: float, rescale: bool
 ) -> Snapshot:
     if not np.all(np.isfinite(new_vertices)):
         raise NumericalBlowup(
@@ -291,19 +286,11 @@ def _finish_step(
     curve = DiscreteCurve(new_vertices, name=snapshot.curve.name)
     if rescale:
         curve = canonical_scale(curve)
-    frame = build_frame(curve)
-    if check_embedded and not is_embedded(curve):
-        raise SelfIntersection(
-            "curve self-intersected", step=snapshot.step + 1, time=snapshot.time + dt
-        )
-    return Snapshot(snapshot.time + dt, snapshot.step + 1, curve, frame)
+    return Snapshot(snapshot.time + dt, snapshot.step + 1, curve, build_frame(curve))
 
 
 def step_unnormalized(
-    snapshot: Snapshot,
-    dt: float,
-    scheme: str = SCHEME_EXPLICIT,
-    check_embedded: bool = True,
+    snapshot: Snapshot, dt: float, scheme: str = SCHEME_EXPLICIT
 ) -> Snapshot:
     """Advance the plain shortening flow by one step of size dt.
 
@@ -318,14 +305,11 @@ def step_unnormalized(
         v = _implicit_laplacian_solve(frame, dt, frame.vertices)
     else:
         raise ConfigError(f"unknown scheme: {scheme!r}")
-    return _finish_step(snapshot, v, dt, rescale=False, check_embedded=check_embedded)
+    return _finish_step(snapshot, v, dt, rescale=False)
 
 
 def step_normalized(
-    snapshot: Snapshot,
-    dt: float,
-    scheme: str = SCHEME_SEMI_IMPLICIT,
-    check_embedded: bool = True,
+    snapshot: Snapshot, dt: float, scheme: str = SCHEME_SEMI_IMPLICIT
 ) -> Snapshot:
     """Advance the length-preserving flow dF/dt = <k^2> F - k nu by dt.
 
@@ -347,7 +331,7 @@ def step_normalized(
         v = _implicit_laplacian_solve(frame, dt, (1.0 + dt * k2) * frame.vertices)
     else:
         raise ConfigError(f"unknown scheme: {scheme!r}")
-    return _finish_step(snapshot, v, dt, rescale=True, check_embedded=check_embedded)
+    return _finish_step(snapshot, v, dt, rescale=True)
 
 
 def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
@@ -355,15 +339,22 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
 
     Resamples to uniform arclength every ``resample_every`` steps, records a
     snapshot every ``snapshot_every`` steps (plus the final state), checks
-    embeddedness every ``embed_check_every`` steps, and stops at ``t_end``
-    or on the first failure; failures end the trajectory with a termination
-    reason instead of raising.
+    embeddedness every ``embed_check_every`` steps, after any resample of
+    that step, and stops at ``t_end`` or on the first failure. A failure
+    ends the trajectory at the last state that passed, with a termination
+    reason, instead of raising. This is the only embeddedness test of a
+    flow: the initial curve, and its resample to ``config.n``, must pass it
+    or the run raises NotEmbedded.
     """
     if not is_embedded(initial):
         raise NotEmbedded("initial curve self-intersects")
     curve = initial
     if curve.n != config.n:
         curve = resample_uniform(curve, config.n)
+        if not is_embedded(curve):
+            raise NotEmbedded(
+                "initial curve self-intersects once resampled", n=config.n
+            )
     normalized = config.kind == KIND_NORMALIZED
     if normalized:
         curve = canonical_scale(curve)
@@ -390,30 +381,31 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
         if dt < 1e-14:
             termination = TERM_BLOWUP if config.adaptive else TERM_STEP_FAILURE
             break
-        check = (
-            config.embed_check_every > 0
-            and (snap.step + 1) % config.embed_check_every == 0
-        )
         try:
-            snap = stepper(snap, dt, scheme=config.scheme, check_embedded=check)
+            nxt = stepper(snap, dt, scheme=config.scheme)
             if (
                 config.resample_every > 0
-                and snap.step % config.resample_every == 0
-                and snap.time < config.t_end - 1e-12
+                and nxt.step % config.resample_every == 0
+                and nxt.time < config.t_end - 1e-12
             ):
-                resampled = resample_uniform(snap.curve, config.n)
+                resampled = resample_uniform(nxt.curve, config.n)
                 if normalized:
                     resampled = canonical_scale(resampled)
-                snap = Snapshot(snap.time, snap.step, resampled, build_frame(resampled))
-        except SelfIntersection:
-            termination = TERM_SELF_INTERSECT
-            break
+                nxt = Snapshot(nxt.time, nxt.step, resampled, build_frame(resampled))
         except NumericalBlowup:
             termination = TERM_BLOWUP
             break
-        except (DegenerateCurve, ResampleFailure):
+        except DegenerateCurve:
             termination = TERM_STEP_FAILURE
             break
+        if (
+            config.embed_check_every > 0
+            and nxt.step % config.embed_check_every == 0
+            and not is_embedded(nxt.curve)
+        ):
+            termination = TERM_SELF_INTERSECT
+            break
+        snap = nxt
         dense_time.append(snap.time)
         dense_len.append(snap.frame.length)
         dense_kmax.append(snap.frame.k_max)

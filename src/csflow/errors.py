@@ -37,10 +37,6 @@ class NotEmbedded(CsflowError):
     kind = "NotEmbedded"
 
 
-class SelfIntersection(CsflowError):
-    kind = "SelfIntersection"
-
-
 class NumericalBlowup(CsflowError):
     kind = "NumericalBlowup"
 

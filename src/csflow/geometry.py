@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,17 +50,23 @@ def _as_vertex_array(vertices) -> np.ndarray:
     return arr
 
 
+def cyclic_shift(a: np.ndarray, k: int) -> np.ndarray:
+    """Cyclic shift along axis 0, from two slices: row i of the result is
+    row ``(i - k) % n`` of ``a``, so ``k = -1`` brings each successor in."""
+    k %= a.shape[0]
+    return np.concatenate((a[-k:], a[:-k]))
+
+
 def signed_area(vertices: np.ndarray) -> float:
     """Shoelace area; positive for counterclockwise polygons."""
     x, y = vertices[:, 0], vertices[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = cyclic_shift(x, -1), cyclic_shift(y, -1)
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 def polygon_length(curve: "DiscreteCurve") -> float:
     """Total edge length, without building a full frame."""
-    v = curve.vertices
-    return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
+    return float(np.sum(curve.edge_lengths))
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,13 @@ class DiscreteCurve:
     clockwise input). The constructor validates the cheap structural
     invariants (N >= 8, no duplicated consecutive vertices, finite
     coordinates); embeddedness is checked separately by :func:`is_embedded`.
+    Validation measures ``edge_lengths`` (edge i runs from vertex i to
+    i+1); every later reader of the edge lengths uses that array.
     """
 
     vertices: np.ndarray
     name: str | None = None
+    edge_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_vertex_array(self.vertices)
@@ -83,13 +92,15 @@ class DiscreteCurve:
             raise DegenerateCurve(f"need at least 8 vertices, got {arr.shape[0]}")
         if not np.all(np.isfinite(arr)):
             raise DegenerateCurve("non-finite vertex coordinates")
-        edges = np.roll(arr, -1, axis=0) - arr
+        edges = cyclic_shift(arr, -1) - arr
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths <= 0.0):
             raise DegenerateCurve("duplicated consecutive vertices")
         arr = arr.copy()
         arr.flags.writeable = False
+        lengths.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
+        object.__setattr__(self, "edge_lengths", lengths)
 
     @classmethod
     def from_vertices(cls, vertices, name: str | None = None) -> "DiscreteCurve":
@@ -116,7 +127,7 @@ class DiscreteCurve:
 class CurveFrame:
     """Derived geometry of a :class:`DiscreteCurve`.
 
-    ``edge_lengths[i]`` is the length of edge i (vertex i to i+1),
+    ``edge_lengths[i]`` is the curve's length of edge i (vertex i to i+1),
     ``arclength[i]`` the cumulative arclength of vertex i from vertex 0,
     ``dual_weights[i] = (edge_lengths[i-1] + edge_lengths[i]) / 2`` the
     vertex quadrature weight, ``turning[i]`` the exterior angle, and
@@ -124,7 +135,6 @@ class CurveFrame:
     """
 
     curve: DiscreteCurve
-    edge_lengths: np.ndarray
     arclength: np.ndarray
     length: float
     tangents: np.ndarray
@@ -132,6 +142,8 @@ class CurveFrame:
     turning: np.ndarray
     dual_weights: np.ndarray
     curvature: np.ndarray
+    k_max: float  # max |curvature|
+    k_min: float
     avg_k2: float
     area: float
 
@@ -144,12 +156,8 @@ class CurveFrame:
         return self.curve.vertices
 
     @property
-    def k_max(self) -> float:
-        return float(np.max(np.abs(self.curvature)))
-
-    @property
-    def k_min(self) -> float:
-        return float(np.min(self.curvature))
+    def edge_lengths(self) -> np.ndarray:
+        return self.curve.edge_lengths
 
 
 def build_frame(curve: DiscreteCurve) -> CurveFrame:
@@ -159,13 +167,12 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     edge length or adjacent edges exactly reverse direction.
     """
     v = curve.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    h = np.hypot(edges[:, 0], edges[:, 1])
+    h = curve.edge_lengths
     mean_h = float(np.mean(h))
     if np.any(h < 1e-12 * mean_h):
         raise DegenerateCurve("edge length below 1e-12 of mean", min_edge=float(h.min()))
-    unit = edges / h[:, None]
-    unit_prev = np.roll(unit, 1, axis=0)
+    unit = (cyclic_shift(v, -1) - v) / h[:, None]
+    unit_prev = cyclic_shift(unit, 1)
 
     bisector = unit_prev + unit
     norm = np.hypot(bisector[:, 0], bisector[:, 1])
@@ -179,7 +186,7 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     dot = np.sum(unit_prev * unit, axis=1)
     turning = np.arctan2(cross, dot)
 
-    h_prev = np.roll(h, 1)
+    h_prev = cyclic_shift(h, 1)
     w = 0.5 * (h_prev + h)
     k = turning / w
 
@@ -189,7 +196,6 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
 
     return CurveFrame(
         curve=curve,
-        edge_lengths=h,
         arclength=s,
         length=length,
         tangents=tangents,
@@ -197,6 +203,8 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
         turning=turning,
         dual_weights=w,
         curvature=k,
+        k_max=float(np.max(np.abs(k))),
+        k_min=float(np.min(k)),
         avg_k2=avg_k2,
         area=signed_area(v),
     )
@@ -238,10 +246,8 @@ _PAIR_CHUNK = 500_000
 
 def _edges_and_tolerance(curve: DiscreteCurve, tol: float):
     """Edge start and end points, edge lengths, and ``tol`` x mean edge length."""
-    v = curve.vertices
-    edges_to = np.roll(v, -1, axis=0)
-    h = np.hypot(*(edges_to - v).T)
-    return v, edges_to, h, tol * float(np.mean(h))
+    h = curve.edge_lengths
+    return curve.vertices, cyclic_shift(curve.vertices, -1), h, tol * float(np.mean(h))
 
 
 def _any_cross(v, edges_to, i, j, abs_tol) -> bool:
@@ -384,22 +390,19 @@ def resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
 
     Linear interpolation along the polygon; vertex 0 stays fixed, so a curve
     that is already uniform resamples to itself. Total length is preserved
-    to O(n^-2).
+    to O(n^-2). Embeddedness is not checked here; the flow's
+    :func:`csflow.dynamics.run` tests the states it keeps.
     """
     if n < 8:
         raise ResampleFailure(f"cannot resample to fewer than 8 vertices, got {n}")
     v = curve.vertices
     closed = np.vstack([v, v[:1]])
-    seg = np.hypot(*np.diff(closed, axis=0).T)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.concatenate([[0.0], np.cumsum(curve.edge_lengths)])
     length = s[-1]
     targets = np.arange(n) * (length / n)
     x = np.interp(targets, s, closed[:, 0])
     y = np.interp(targets, s, closed[:, 1])
-    out = DiscreteCurve(np.column_stack([x, y]), name=curve.name)
-    if not is_embedded(out):
-        raise ResampleFailure("resampled polygon self-intersects", n=n)
-    return out
+    return DiscreteCurve(np.column_stack([x, y]), name=curve.name)
 
 
 def canonical_scale(curve: DiscreteCurve) -> DiscreteCurve:

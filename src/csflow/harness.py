@@ -1,4 +1,4 @@
-"""Run orchestration: test-curve generators, run directories, bench.
+"""Run orchestration: test-curve generators, run directories, identities.
 
 The CLI in :mod:`csflow.cli` is a thin argument layer over this module.
 A run is described by a :class:`RunSpec` (initial curve, flow settings,
@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import os
-import time as _time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,17 +43,7 @@ from .diagnostics import (
     convergence_metrics,
     snapshot_profiles,
 )
-from .dynamics import (
-    KIND_NORMALIZED,
-    SCHEME_EXPLICIT,
-    SCHEME_SEMI_IMPLICIT,
-    TERM_END,
-    FlowConfig,
-    Snapshot,
-    Trajectory,
-    run,
-    step_normalized,
-)
+from .dynamics import KIND_NORMALIZED, TERM_END, FlowConfig, Trajectory, run
 from .errors import (
     ConfigError,
     DegenerateCurve,
@@ -407,7 +396,7 @@ def persist_run(result: RunResult) -> Path:
     return outdir
 
 
-# -- identity suite, static profiling, bench ----------------------------------
+# -- identity suite, static profiling -----------------------------------------
 
 def verify_identities(
     nx: int = 400, nt: int = 101, perturb_scale: float | None = None
@@ -466,16 +455,3 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
             fh.write("".join(["%.17g,%.17g,%.17g\n" % row for row in zip(*cols)]))
     return summary, out_csv
 
-
-def bench(n: int = 512, steps: int = 200) -> dict[str, float]:
-    """Steps per second of both schemes on a normalized ellipse; rough."""
-    results = {}
-    for scheme in (SCHEME_EXPLICIT, SCHEME_SEMI_IMPLICIT):
-        curve = canonical_scale(gen_ellipse(2.0, 1.0, n))
-        snap = Snapshot(0.0, 0, curve, build_frame(curve))
-        dt = 1e-5 if scheme == SCHEME_EXPLICIT else 1e-3
-        t0 = _time.perf_counter()
-        for _ in range(steps):
-            snap = step_normalized(snap, dt, scheme=scheme, check_embedded=False)
-        results[scheme] = steps / (_time.perf_counter() - t0)
-    return results

@@ -9,6 +9,7 @@ import pytest
 from csflow import diagnostics
 from csflow.comparison import ProfileSummary, profile
 from csflow.diagnostics import (
+    BoundReport,
     ConvergenceMetrics,
     check_abar_decay,
     check_curvature_bound,
@@ -131,6 +132,18 @@ def test_report_json_shape(circle_run):
     abar_doc = circle_run.reports["abar-decay"].to_json_dict()
     assert abar_doc["worst_margin"] is None
     assert abar_doc["series"] == []
+
+
+def test_report_passes_when_worst_margin_is_within_tolerance():
+    def report(*margin):
+        m = np.array(margin, dtype=float)
+        return BoundReport("check", m, m, np.zeros_like(m), m, tolerance=0.125)
+
+    assert report().passed  # an empty series holds trivially
+    assert report(1.0, -0.125).passed
+    assert not report(1.0, -0.25).passed
+    assert not report(1.0, math.nan).passed
+    assert report(1.0, -0.125).to_json_dict()["pass"] is True
 
 
 def test_measured_column_is_per_snapshot_min_z(circle_run):

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import csflow.dynamics as dynamics
 from csflow.dynamics import (
     KIND_NORMALIZED,
     KIND_UNNORMALIZED,
     TERM_BLOWUP,
     TERM_END,
+    TERM_SELF_INTERSECT,
     ClockMap,
     DenseSeries,
     FlowConfig,
@@ -212,6 +214,48 @@ def test_avg_k2_decreases_monotonically_to_one():
 def test_rejects_immersed_input():
     with pytest.raises(NotEmbedded):
         run(FlowConfig(n=64, t_end=0.1), figure_eight())
+
+
+def _failing_from_call(monkeypatch, k):
+    """Patch the flow's embeddedness test to fail from its k-th call on."""
+    calls = []
+
+    def is_embedded(curve):
+        calls.append(curve)
+        return len(calls) < k
+
+    monkeypatch.setattr(dynamics, "is_embedded", is_embedded)
+    return calls
+
+
+def test_self_intersection_ends_run_at_last_passing_state(monkeypatch):
+    # checks every 3 steps, resamples every 4: the check after step 12 sees
+    # a resampled state
+    cfg = FlowConfig(n=64, dt=1e-3, t_end=0.03, resample_every=4,
+                     snapshot_every=1, embed_check_every=3)
+    clean = run(cfg, gen_ellipse(2.0, 1.0, 64))
+    assert clean.termination == TERM_END
+    calls = _failing_from_call(monkeypatch, 5)  # the initial curve, then steps 3-12
+    traj = run(cfg, gen_ellipse(2.0, 1.0, 64))
+    assert len(calls) == 5
+    # the last check saw step 12 after its resample
+    assert np.array_equal(calls[-1].vertices, clean.snapshots[12].curve.vertices)
+    assert traj.termination == TERM_SELF_INTERSECT
+    assert [s.step for s in traj.snapshots] == list(range(12))
+    for got, want in zip(traj.snapshots, clean.snapshots):
+        assert got.time == want.time
+        assert np.array_equal(got.curve.vertices, want.curve.vertices)
+    # one dense entry per accepted step, the last one the final snapshot's
+    assert traj.dense.time.size == len(traj.snapshots)
+    assert traj.dense.time[-1] == traj.final.time
+
+
+def test_resampled_input_must_be_embedded(monkeypatch):
+    calls = _failing_from_call(monkeypatch, 2)  # the raw input passes
+    with pytest.raises(NotEmbedded) as info:
+        run(FlowConfig(n=96, t_end=0.01), gen_circle(1.0, 64))
+    assert [c.n for c in calls] == [64, 96]
+    assert info.value.context == {"n": 96}
 
 
 def test_snapshot_cadence_and_lazy_frames():

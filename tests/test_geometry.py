@@ -23,6 +23,7 @@ from csflow.geometry import (
     build_frame,
     canonical_scale,
     chord_arc,
+    cyclic_shift,
     is_embedded,
     load_curve,
     polygon_length,
@@ -85,6 +86,27 @@ def test_vertices_are_immutable():
     curve = circle(16)
     with pytest.raises(ValueError):
         curve.vertices[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        curve.edge_lengths[0] = 5.0
+
+
+@pytest.mark.parametrize("k", [-9, -1, 0, 1, 2, 8])
+def test_cyclic_shift_matches_np_roll(k):
+    a = np.arange(16.0).reshape(8, 2)
+    assert np.array_equal(cyclic_shift(a, k), np.roll(a, k, axis=0))
+    assert np.array_equal(cyclic_shift(a[:, 1], k), np.roll(a[:, 1], k))
+
+
+def test_edge_lengths_are_measured_once_per_curve():
+    curve = ellipse_theta(2.0, 1.0, 64)
+    v = curve.vertices
+    edges = np.roll(v, -1, axis=0) - v
+    assert np.array_equal(curve.edge_lengths, np.hypot(edges[:, 0], edges[:, 1]))
+    frame = build_frame(curve)
+    assert frame.edge_lengths is curve.edge_lengths
+    assert polygon_length(curve) == float(np.sum(curve.edge_lengths))
+    assert frame.k_max == float(np.max(np.abs(frame.curvature)))
+    assert frame.k_min == float(np.min(frame.curvature))
 
 
 # -- frames -------------------------------------------------------------------
@@ -423,6 +445,11 @@ def test_resample_preserves_shape_and_length():
 def test_resample_rejects_tiny_target():
     with pytest.raises(ResampleFailure):
         resample_uniform(circle(64), 4)
+
+
+def test_resample_leaves_embeddedness_to_the_caller():
+    out = resample_uniform(figure_eight(64), 96)
+    assert out.n == 96 and not is_embedded(out)
 
 
 def test_canonical_scale_hits_two_pi_exactly():

@@ -23,7 +23,6 @@ from csflow.harness import (
     ALL_CHECKS,
     SERIES_HEADER,
     RunSpec,
-    bench,
     execute,
     gen_circle,
     gen_dumbbell,
@@ -273,7 +272,7 @@ def test_identical_specs_persist_identical_bytes(tmp_path):
     ).read_bytes()
 
 
-# -- identity suite, static profile, bench ---------------------------------------
+# -- identity suite, static profile ---------------------------------------------
 
 
 def test_identity_suite_reports():
@@ -356,12 +355,6 @@ def test_profile_curve_sweeps_the_pairs_once(ellipse_path, tmp_path, monkeypatch
 def test_profile_rejects_self_intersection(fig8_path):
     with pytest.raises(NotEmbedded):
         profile_curve(fig8_path)
-
-
-def test_bench_reports_both_schemes():
-    rates = bench(n=64, steps=3)
-    assert set(rates) == {"explicit", "semi-implicit"}
-    assert all(v > 0.0 for v in rates.values())
 
 
 # -- command line ----------------------------------------------------------------
@@ -474,8 +467,14 @@ def test_cli_profile_prints_summary(ellipse_path, tmp_path, capsys):
     assert "pair table:" in out
 
 
-def test_cli_bench(capsys):
-    rc = cli.main(["bench", "--n", "64", "--steps", "2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "steps/s" in out
+def test_cli_run_without_flow_flags_builds_default_flow_config(monkeypatch):
+    specs = []
+
+    def capture(spec, persist=True):
+        specs.append(spec)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "execute", capture)
+    assert cli.main(["run", "--no-persist"]) == 2
+    assert specs[0].flow == FlowConfig()
+    assert specs[0].generator == "circle"
