@@ -1,4 +1,4 @@
-"""Run the two flagship configurations and print their bound-check verdicts.
+"""Run the two flagship configurations and print what ``csflow run`` prints.
 
 Both runs use the default flow settings (N = 512, semi-implicit, dt = 1e-3,
 t_end = 6) with every check enabled, and persist full run directories under
@@ -9,6 +9,7 @@ reference data set.
 import argparse
 import sys
 
+from csflow.cli import print_run
 from csflow.dynamics import FlowConfig
 from csflow.harness import RunSpec, execute
 
@@ -34,12 +35,8 @@ def main(argv=None) -> int:
             outdir=None if args.outdir_root is None else f"{args.outdir_root}/{gen}",
         )
         res = execute(spec)
-        print(f"== {gen} {params} -> {res.outdir}")
-        print(f"   termination: {res.trajectory.termination}")
-        for name, rep in res.reports.items():
-            word = "pass" if rep.passed else "FAIL"
-            print(f"   {name}: {word} (worst margin {rep.worst_margin:+.3e})")
-        print(f"   quadrature identity: {'pass' if res.metrics.identity_pass else 'FAIL'}")
+        print(f"== {gen} {params}")
+        print_run(res)
         all_ok = all_ok and res.passed
     return 0 if all_ok else 1
 

@@ -8,9 +8,9 @@ settle at the same rate.
 """
 
 import argparse
-import math
 import sys
 
+from csflow.diagnostics import geometric_tolerance
 from csflow.dynamics import FlowConfig
 from csflow.geometry import build_frame, canonical_scale
 from csflow.harness import RunSpec, execute, generate
@@ -45,8 +45,7 @@ def main(argv=None) -> int:
             margins = "  ".join(
                 f"{res.reports[c].worst_margin:+20.3e}" for c in CHECKS
             )
-            tol = 10.0 * (2.0 * math.pi / n) ** 2
-            print(f"  {n:4d}   {tol:8.2e}   {margins}")
+            print(f"  {n:4d}   {geometric_tolerance(n):8.2e}   {margins}")
         print()
 
     print("a_bar(0) of the canonical ellipse across resolutions:")

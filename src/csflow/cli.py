@@ -11,6 +11,7 @@ standard error with exit status 2; checks that ran but did not hold exit 1.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -21,15 +22,27 @@ from .dynamics import (
     SCHEME_SEMI_IMPLICIT,
     FlowConfig,
 )
+from .diagnostics import identity_holds
 from .errors import CsflowError
 from .harness import (
     _GENERATORS,
     ALL_CHECKS,
+    RunResult,
     RunSpec,
     execute,
     profile_curve,
     verify_identities,
 )
+
+
+# each generator's shape flags with their help; a flag's default is the
+# generator's own keyword default
+_SHAPE_FLAGS = {
+    "circle": {"r": "circle radius"},
+    "ellipse": {"a": "ellipse x semi-axis", "b": "ellipse y semi-axis"},
+    "dumbbell": {"neck": "dumbbell waist ratio"},
+    "fourier": {"modes": "fourier mode count"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,12 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="initial curve family (default: circle)",
     )
     src.add_argument("--input", default=None, help="curve file (.json or .csv)")
-    p_run.add_argument("--r", type=float, default=1.0, help="circle radius")
-    p_run.add_argument("--a", type=float, default=2.0, help="ellipse x semi-axis")
-    p_run.add_argument("--b", type=float, default=1.0, help="ellipse y semi-axis")
-    p_run.add_argument("--neck", type=float, default=0.2, help="dumbbell waist ratio")
-    p_run.add_argument("--modes", type=int, default=6, help="fourier mode count")
-    p_run.add_argument("--seed", type=int, default=1, help="generator RNG seed")
+    for generator, flags in _SHAPE_FLAGS.items():
+        params = inspect.signature(_GENERATORS[generator]).parameters
+        for name, text in flags.items():
+            value = params[name].default
+            p_run.add_argument(f"--{name}", type=type(value), default=value, help=text)
+    p_run.add_argument(
+        "--seed", type=int, default=RunSpec.seed, help="generator RNG seed"
+    )
     p_run.add_argument("--n", type=int, default=defaults.n, help="vertex count")
     p_run.add_argument(
         "--kind", choices=[KIND_NORMALIZED, KIND_UNNORMALIZED], default=defaults.kind
@@ -125,28 +140,12 @@ def _resolve_checks(raw: list[str] | None) -> tuple[str, ...]:
 def _cmd_run(args) -> int:
     generator = args.generator
     if generator is None and args.input is None:
-        generator = "circle"
+        generator = RunSpec.generator
     params = {}
-    if generator == "circle":
-        params = {"r": args.r}
-    elif generator == "ellipse":
-        params = {"a": args.a, "b": args.b}
-    elif generator == "dumbbell":
-        params = {"neck": args.neck}
-    elif generator == "fourier":
-        params = {"modes": args.modes}
-    flow = FlowConfig(
-        kind=args.kind,
-        n=args.n,
-        scheme=args.scheme,
-        dt=args.dt,
-        adaptive=args.adaptive,
-        safety=args.safety,
-        t_end=args.t_end,
-        resample_every=args.resample_every,
-        snapshot_every=args.snapshot_every,
-        embed_check_every=args.embed_check_every,
-    )
+    if generator is not None:
+        params = {k: getattr(args, k) for k in _SHAPE_FLAGS[generator]}
+    # every FlowConfig field has a flag of the same name
+    flow = FlowConfig(**{k: getattr(args, k) for k in FlowConfig.__dataclass_fields__})
     spec = RunSpec(
         generator=generator,
         params=params,
@@ -157,19 +156,26 @@ def _cmd_run(args) -> int:
         seed=args.seed,
     )
     result = execute(spec, persist=not args.no_persist)
+    print_run(result)
+    return 0 if result.passed else 1
+
+
+def print_run(result: RunResult) -> None:
+    """The lines ``csflow run`` prints for a finished run: how it ended,
+    each report's verdict, the quadrature identity when the convergence
+    check ran, and the run directory when one was written."""
     print(f"termination: {result.trajectory.termination}")
     final = result.trajectory.final
     print(f"final: t = {final.time:.6g}, steps = {final.step}")
     for name, report in result.reports.items():
         status = "pass" if report.passed else "FAIL"
         print(f"{name}: {status} (worst margin {report.worst_margin:.3e})")
-    if result.metrics is not None:
-        status = "pass" if result.metrics.identity_pass else "FAIL"
-        worst = float(max(result.metrics.identity_residual))
+    if "convergence" in result.checks:
+        status = "pass" if identity_holds(result.measures) else "FAIL"
+        worst = float(result.measures.identity_residual.max())
         print(f"quadrature-identity: {status} (worst residual {worst:.3e})")
     if result.outdir is not None:
         print(f"run directory: {result.outdir}")
-    return 0 if result.passed else 1
 
 
 def _cmd_verify(args) -> int:

@@ -1,22 +1,26 @@
-"""Bound checks and convergence metrics along normalized trajectories.
+"""Per-snapshot measures of a normalized run, and the bound checks over them.
 
-Three inequality checks, one per theorem-level statement: the chord
+One pass, :func:`measure`, walks a trajectory once and keeps what each
+snapshot measured in one columnar record, :class:`Measures`: the frame
+scalars, the pair profile (a_bar, t_bar, min Z, with the pair profiles
+themselves, which dominate the cost) and the distances from the unit
+circle. ``series.csv``, the bound reports and a run's verdict are all read
+from that record.
+
+Four checks reduce it, one per theorem-level statement: the chord
 comparison Z = d - f(l, t - t_bar) >= 0 for every pair at every time, the
-decay sup a(t) <= e^{t_bar - t}, and the curvature bound
-k_max(t)^2 <= 1 + 2 e^{-2(t - t_bar)}. The offset t_bar is measured once,
+decay sup a(t) <= e^{t_bar - t}, the curvature bound
+k_max(t)^2 <= 1 + 2 e^{-2(t - t_bar)}, and the L2 convergence
+int (k-1)^2 ds <= 2 e^{-2(t - t_bar)}. The offset t_bar is measured once,
 on the first snapshot; everything later must ride below the barrier it
-sets. Convergence metrics quantify the approach to the unit circle.
-
-All checks read the per-snapshot pair profiles, which dominate the cost.
-Every check and :func:`convergence_metrics` requires them as an argument:
-compute them once per trajectory with :func:`snapshot_profiles`, one
-profile per snapshot, and pass the same list to each.
+sets.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,7 @@ import numpy as np
 from .comparison import ProfileSummary, profile
 from .dynamics import KIND_NORMALIZED, Trajectory
 from .errors import DomainError, WrongRunKind
-from .geometry import cyclic_shift
+from .geometry import CurveFrame, cyclic_shift
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,28 +83,46 @@ class BoundReport:
         }
 
 
-@dataclass(frozen=True)
-class ConvergenceMetrics:
-    """Per-snapshot distances from the unit circle.
+# the columns that a snapshot's frame, pair profile and circle fit fill
+FRAME_COLUMNS = ("length", "k_max", "k_min", "avg_k2", "area")
+PROFILE_COLUMNS = ("a_bar", "t_bar", "min_z")
+CIRCLE_COLUMNS = (
+    "l2_dev", "sup_dev", "radius", "circle_dist", "sup_dk", "identity_residual"
+)
 
-    ``l2_dev`` is the integral of (k-1)^2 against arclength, ``sup_dev`` is
-    max|k-1|, the circle fit is the dual-weighted centroid with its mean
-    radius, ``circle_dist`` the largest vertex deviation from that circle,
-    and ``sup_dk`` the largest first difference quotient of curvature.
-    ``identity_residual`` measures the rewriting of the L2 deviation as
-    int k^2 ds - 4*pi + L, exact up to the discrete total-turning error.
+# absolute tolerance of the quadrature identity at every snapshot
+IDENTITY_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class Measures:
+    """What :func:`measure` found at each snapshot, one entry per snapshot.
+
+    The frame columns are ``FRAME_COLUMNS``; ``a_bar``, ``t_bar`` and
+    ``min_z`` come from the snapshot's pair profile, kept whole in
+    ``profiles``; the circle columns are those of
+    :func:`convergence_metrics`. A column that was not measured is NaN, and
+    ``profiles`` is then None. ``n`` is the first snapshot's vertex count.
     """
 
+    n: int
+    step: np.ndarray
     time: np.ndarray
+    length: np.ndarray
+    k_max: np.ndarray
+    k_min: np.ndarray
+    avg_k2: np.ndarray
+    area: np.ndarray
+    a_bar: np.ndarray
+    t_bar: np.ndarray
+    min_z: np.ndarray
     l2_dev: np.ndarray
     sup_dev: np.ndarray
-    center: np.ndarray
     radius: np.ndarray
     circle_dist: np.ndarray
     sup_dk: np.ndarray
     identity_residual: np.ndarray
-    l2_bound: np.ndarray
-    identity_pass: bool
+    profiles: list[ProfileSummary] | None = None
 
     def __post_init__(self):
         for name in ("l2_dev", "sup_dev", "circle_dist", "sup_dk"):
@@ -109,115 +131,140 @@ class ConvergenceMetrics:
         if np.any(self.radius <= 0.0):
             raise DomainError("non-positive fitted radius")
 
-    def l2_report(self, tol_rel: float = 0.05) -> BoundReport:
-        # the bound underflows to 0 on round-circle runs; floor the scale
-        margin = (self.l2_bound - self.l2_dev) / np.maximum(self.l2_bound, 1e-12)
-        return BoundReport(
-            name="l2-curvature-bound",
-            time=self.time,
-            measured=self.l2_dev,
-            bound=self.l2_bound,
-            margin=margin,
-            tolerance=tol_rel,
-        )
-
-
-def _require_normalized(traj: Trajectory, op: str) -> None:
-    if traj.kind != KIND_NORMALIZED:
-        raise WrongRunKind(f"{op} needs a normalized trajectory", kind=traj.kind)
-
 
 def snapshot_profiles(traj: Trajectory) -> list[ProfileSummary]:
     """Pair profiles of every snapshot, one profile each, with Z evaluated
     against the offset frozen at the first snapshot (the first snapshot's
     own). The dominant cost of all bound checks."""
-    _require_normalized(traj, "snapshot_profiles")
+    if traj.kind != KIND_NORMALIZED:
+        raise WrongRunKind("profiles need a normalized trajectory", kind=traj.kind)
     first, *rest = traj.snapshots
     head = profile(first.frame, t=first.time)
     return [head] + [profile(s.frame, offset=head.offset, t=s.time) for s in rest]
 
 
-def geometric_tolerance(traj: Trajectory) -> float:
+def convergence_metrics(frame: CurveFrame) -> dict[str, float]:
+    """Distances of one frame from the unit circle, keyed by ``CIRCLE_COLUMNS``.
+
+    ``l2_dev`` is the integral of (k-1)^2 against arclength, ``sup_dev`` is
+    max|k-1|, the circle fit is the dual-weighted centroid with its mean
+    ``radius``, ``circle_dist`` the largest vertex deviation from that
+    circle, and ``sup_dk`` the largest first difference quotient of
+    curvature. ``identity_residual`` measures the rewriting of the L2
+    deviation as int k^2 ds - 4*pi + L, exact up to the discrete
+    total-turning error.
+    """
+    k, w = frame.curvature, frame.dual_weights
+    l2_dev = float(np.sum((k - 1.0) ** 2 * w))
+    c = np.sum(frame.vertices * w[:, None], axis=0) / frame.length
+    rho = np.hypot(*(frame.vertices - c).T)
+    r = float(np.sum(rho * w) / frame.length)
+    return {
+        "l2_dev": l2_dev,
+        "sup_dev": float(np.max(np.abs(k - 1.0))),
+        "radius": r,
+        "circle_dist": float(np.max(np.abs(rho - r))),
+        "sup_dk": float(np.max(np.abs(cyclic_shift(k, -1) - k) / frame.edge_lengths)),
+        "identity_residual": abs(
+            l2_dev - (float(np.sum(k * k * w)) - 4.0 * math.pi + frame.length)
+        ),
+    }
+
+
+def measure(traj: Trajectory, checks: Collection[str] = ()) -> Measures:
+    """The one pass over a trajectory that every report reads.
+
+    The frame columns are always measured. Any check needs the pair
+    profiles, which need a normalized trajectory (WrongRunKind otherwise);
+    the "convergence" check also needs the circle columns.
+    """
+    snaps = traj.snapshots
+    frames = [s.frame for s in snaps]
+    profiles = snapshot_profiles(traj) if checks else None
+    fits = [convergence_metrics(f) for f in frames] if "convergence" in checks else None
+    unmeasured = [math.nan] * len(snaps)
+    cols = {k: np.array([getattr(f, k) for f in frames]) for k in FRAME_COLUMNS}
+    for k in PROFILE_COLUMNS:
+        rows = [getattr(p, k) for p in profiles] if profiles else unmeasured
+        cols[k] = np.array(rows)
+    for k in CIRCLE_COLUMNS:
+        rows = [fit[k] for fit in fits] if fits else unmeasured
+        cols[k] = np.array(rows)
+    return Measures(
+        n=snaps[0].curve.n,
+        step=np.array([s.step for s in snaps]),
+        time=traj.times,
+        profiles=profiles,
+        **cols,
+    )
+
+
+def identity_holds(m: Measures) -> bool:
+    """Whether the quadrature identity holds within IDENTITY_TOL at every
+    snapshot; a NaN residual fails."""
+    return bool(m.identity_residual.max() <= IDENTITY_TOL)
+
+
+def geometric_tolerance(n: int) -> float:
     """Discretization credit 10 (2*pi/N)^2 for pointwise chord bounds."""
-    return 10.0 * (TWO_PI / traj.snapshots[0].curve.n) ** 2
+    return 10.0 * (TWO_PI / n) ** 2
 
 
-def check_distance_comparison(
-    traj: Trajectory, profiles: list[ProfileSummary]
-) -> BoundReport:
+def check_distance_comparison(m: Measures) -> BoundReport:
     """Chord comparison d >= f(l, t - t_bar) over all pairs and snapshots.
 
     t_bar comes from the first snapshot only; the report's measured value is
     the per-snapshot minimum of Z = d - f(l, t - t_bar), checked against 0
     with the mesh credit of :func:`geometric_tolerance` as tolerance.
     """
-    _require_normalized(traj, "check_distance_comparison")
-    time = traj.times
-    min_z = np.array([p.min_z for p in profiles])
-    tol = geometric_tolerance(traj)
-
-    worst = int(np.argmin(min_z))
+    worst = int(np.argmin(m.min_z))
     log.info(
         "distance comparison: min Z = %.3e at t = %.3f, pair %s",
-        min_z[worst],
-        time[worst],
-        profiles[worst].min_z_pair,
+        m.min_z[worst],
+        m.time[worst],
+        m.profiles[worst].min_z_pair,
     )
     return BoundReport(
         name="distance-comparison",
-        time=time,
-        measured=min_z,
-        bound=np.zeros_like(min_z),
-        margin=min_z,
-        tolerance=tol,
+        time=m.time,
+        measured=m.min_z,
+        bound=np.zeros_like(m.min_z),
+        margin=m.min_z,
+        tolerance=geometric_tolerance(m.n),
     )
 
 
-def check_abar_decay(
-    traj: Trajectory, profiles: list[ProfileSummary]
-) -> BoundReport:
+def check_abar_decay(m: Measures) -> BoundReport:
     """Exponential decay of the supremal ratio: log sup a(t) <= t_bar - t.
 
     Snapshots where sup a = 0 satisfy the bound trivially and are left out
     of the series; the additive slack covers root-solve and mesh error.
     """
-    _require_normalized(traj, "check_abar_decay")
-    t_bar = profiles[0].t_bar
-    time = traj.times
-    keep = np.array([p.a_bar > 0.0 for p in profiles])
-    time = time[keep]
-    measured = np.array([math.log(p.a_bar) for p, k in zip(profiles, keep) if k])
-    bound = t_bar - time
-    margin = bound - measured
-    tol = 0.05
+    keep = m.a_bar > 0.0
+    time = m.time[keep]
+    measured = np.array([math.log(a) for a in m.a_bar[keep]])
+    bound = m.t_bar[0] - time
     return BoundReport(
         name="abar-decay",
         time=time,
         measured=measured,
         bound=bound,
-        margin=margin,
-        tolerance=tol,
+        margin=bound - measured,
+        tolerance=0.05,
     )
 
 
-def check_curvature_bound(
-    traj: Trajectory, profiles: list[ProfileSummary]
-) -> BoundReport:
+def check_curvature_bound(m: Measures) -> BoundReport:
     """Supremal curvature against k_max(t)^2 <= 1 + 2 e^{-2(t - t_bar)}.
 
     The margin is relative to the bound, so the 2% tolerance is
     multiplicative; with a round-circle offset the bound degenerates to
     k_max^2 <= 1.
     """
-    _require_normalized(traj, "check_curvature_bound")
-    t_bar = profiles[0].t_bar
-    time = traj.times
-    k_max = np.array([s.frame.k_max for s in traj.snapshots])
-    measured = k_max**2
+    time = m.time
+    measured = m.k_max**2
     with np.errstate(over="ignore"):
-        bound = 1.0 + 2.0 * np.exp(-2.0 * (time - t_bar))
-    margin = (bound - measured) / bound
-    tol = 0.02
+        bound = 1.0 + 2.0 * np.exp(-2.0 * (time - m.t_bar[0]))
     # monotone headroom is an empirical observation, not a theorem: once the
     # curve is round, bound - measured tends to 0 from above, so long runs
     # are expected to trip this. Logged only, never a failure.
@@ -229,66 +276,26 @@ def check_curvature_bound(
         time=time,
         measured=measured,
         bound=bound,
-        margin=margin,
-        tolerance=tol,
+        margin=(bound - measured) / bound,
+        tolerance=0.02,
     )
 
 
-def convergence_metrics(
-    traj: Trajectory, profiles: list[ProfileSummary]
-) -> ConvergenceMetrics:
-    """Distance-to-circle metrics per snapshot, with the L2 decay bound.
-
-    Also evaluates the quadrature identity int (k-1)^2 ds = int k^2 ds
-    - 4*pi + L on every snapshot (tolerance 1e-8) and the bound
-    int (k-1)^2 ds <= 2 e^{-2(t - t_bar)} at 5% relative slack.
-    """
-    _require_normalized(traj, "convergence_metrics")
-    t_bar = profiles[0].t_bar
-    n_snap = len(traj.snapshots)
-
-    time = traj.times
-    l2_dev = np.empty(n_snap)
-    sup_dev = np.empty(n_snap)
-    center = np.empty((n_snap, 2))
-    radius = np.empty(n_snap)
-    circle_dist = np.empty(n_snap)
-    sup_dk = np.empty(n_snap)
-    identity_residual = np.empty(n_snap)
-
-    for i, snap in enumerate(traj.snapshots):
-        fr = snap.frame
-        k, w = fr.curvature, fr.dual_weights
-        l2_dev[i] = float(np.sum((k - 1.0) ** 2 * w))
-        sup_dev[i] = float(np.max(np.abs(k - 1.0)))
-        identity_residual[i] = abs(
-            l2_dev[i] - (float(np.sum(k * k * w)) - 4.0 * math.pi + fr.length)
-        )
-        c = np.sum(fr.vertices * w[:, None], axis=0) / fr.length
-        rho = np.hypot(*(fr.vertices - c).T)
-        r = float(np.sum(rho * w) / fr.length)
-        center[i] = c
-        radius[i] = r
-        circle_dist[i] = float(np.max(np.abs(rho - r)))
-        sup_dk[i] = float(np.max(np.abs(cyclic_shift(k, -1) - k) / fr.edge_lengths))
-
-    k_min = np.array([s.frame.k_min for s in traj.snapshots])
-    if k_min[0] <= 0.0 and np.any(k_min > 0.0):
-        cross = int(np.argmax(k_min > 0.0))
-        log.info("curvature positive from t = %.4f on", time[cross])
-
+def check_l2_bound(m: Measures) -> BoundReport:
+    """L2 convergence int (k-1)^2 ds <= 2 e^{-2(t - t_bar)} at 5% relative
+    slack. Also logs the time from which the curvature is positive, when
+    the first snapshot is not convex."""
+    if m.k_min[0] <= 0.0 and np.any(m.k_min > 0.0):
+        cross = int(np.argmax(m.k_min > 0.0))
+        log.info("curvature positive from t = %.4f on", m.time[cross])
     with np.errstate(over="ignore"):
-        l2_bound = 2.0 * np.exp(-2.0 * (time - t_bar))
-    return ConvergenceMetrics(
-        time=time,
-        l2_dev=l2_dev,
-        sup_dev=sup_dev,
-        center=center,
-        radius=radius,
-        circle_dist=circle_dist,
-        sup_dk=sup_dk,
-        identity_residual=identity_residual,
-        l2_bound=l2_bound,
-        identity_pass=bool(np.all(identity_residual <= 1e-8)),
+        bound = 2.0 * np.exp(-2.0 * (m.time - m.t_bar[0]))
+    # the bound underflows to 0 on round-circle runs; floor the scale
+    return BoundReport(
+        name="l2-curvature-bound",
+        time=m.time,
+        measured=m.l2_dev,
+        bound=bound,
+        margin=(bound - m.l2_dev) / np.maximum(bound, 1e-12),
+        tolerance=0.05,
     )
-

@@ -7,8 +7,11 @@ and persisted as a directory holding ``config.json`` (spec echo, initial
 curve hash, code version), ``snapshots/curve_NNNNNN.json``, ``series.csv``
 (one row per snapshot), and one JSON report per bound check.
 
-Bound checks apply to normalized runs; an un-normalized run records the
-flow columns of the series and skips them.
+:func:`execute` measures every snapshot once into a
+:class:`~csflow.diagnostics.Measures` record; the reports, ``series.csv``
+and the verdict are all read from it. Bound checks apply to normalized
+runs; an un-normalized run records the flow columns of the series and
+skips them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from .comparison import (
     AnalyticEllipse,
     IdentityReport,
-    ProfileSummary,
     check_f_shape,
     check_g_positive,
     check_h_convex,
@@ -34,15 +36,9 @@ from .comparison import (
     check_small_sep_taylor,
     ratio_table,
 )
-from .diagnostics import (
-    BoundReport,
-    ConvergenceMetrics,
-    check_abar_decay,
-    check_curvature_bound,
-    check_distance_comparison,
-    convergence_metrics,
-    snapshot_profiles,
-)
+from . import diagnostics
+from .diagnostics import FRAME_COLUMNS, PROFILE_COLUMNS, BoundReport, Measures
+from .diagnostics import identity_holds, measure
 from .dynamics import KIND_NORMALIZED, TERM_END, FlowConfig, Trajectory, run
 from .errors import (
     ConfigError,
@@ -63,7 +59,16 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 
-ALL_CHECKS = ("distance-comparison", "abar-decay", "curvature-bound", "convergence")
+# check name -> its report, reduced from a run's measures. Each check is
+# looked up on the diagnostics module when called, so a wrapper installed
+# there (a tracer, a test's monkeypatch) sees every call.
+_CHECKS = {
+    "distance-comparison": lambda m: diagnostics.check_distance_comparison(m),
+    "abar-decay": lambda m: diagnostics.check_abar_decay(m),
+    "curvature-bound": lambda m: diagnostics.check_curvature_bound(m),
+    "convergence": lambda m: diagnostics.check_l2_bound(m),
+}
+ALL_CHECKS = tuple(_CHECKS)
 
 _FOURIER_AMPLITUDE = 0.15
 _FOURIER_ATTEMPTS = 100
@@ -182,14 +187,17 @@ _GENERATORS = {
 
 
 def generate(name: str, params: dict | None = None) -> DiscreteCurve:
-    """Dispatch to a named generator; unknown names or parameters are
-    configuration errors."""
+    """Dispatch to a named generator; unknown names or parameters, and a
+    vertex count ``n`` that a flow would reject, are configuration errors."""
     if name not in _GENERATORS:
         raise ConfigError(
             f"unknown generator {name!r}", known=sorted(_GENERATORS)
         )
+    params = params or {}
+    if "n" in params:
+        FlowConfig(n=params["n"])  # the flow's vertex-count rule, one owner
     try:
-        return _GENERATORS[name](**(params or {}))
+        return _GENERATORS[name](**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for generator {name!r}: {exc}") from exc
 
@@ -261,57 +269,48 @@ def materialize_curve(spec: RunSpec) -> DiscreteCurve:
 
 @dataclass
 class RunResult:
-    """Everything a finished run produced, before/after persistence."""
+    """Everything a finished run produced, before/after persistence.
+
+    ``checks`` are the checks that ran: the spec's on a normalized run,
+    none on an un-normalized one.
+    """
 
     spec: RunSpec
     initial: DiscreteCurve
     trajectory: Trajectory
-    profiles: list[ProfileSummary] | None
+    checks: tuple[str, ...]
+    measures: Measures
     reports: dict[str, BoundReport]
-    metrics: ConvergenceMetrics | None
     passed: bool
     outdir: Path | None = None
 
 
 def execute(spec: RunSpec, persist: bool = True) -> RunResult:
-    """Run a spec end to end: curve, flow, checks, optional persistence.
+    """Run a spec end to end: curve, flow, measures, checks, persistence.
 
-    ``passed`` requires the flow to reach its end time, every requested
-    bound check to hold, and (when convergence metrics are requested) the
-    quadrature identity to hold.
+    ``passed`` requires the flow to reach its end time, every check that
+    ran to hold, and, when the convergence check ran, the quadrature
+    identity to hold at every snapshot.
     """
     initial = materialize_curve(spec)
     traj = run(spec.flow, initial)
-
-    profiles = None
-    reports: dict[str, BoundReport] = {}
-    metrics = None
-    passed = traj.termination == TERM_END
-    if spec.checks and traj.kind == KIND_NORMALIZED:
-        profiles = snapshot_profiles(traj)
-        if "distance-comparison" in spec.checks:
-            rep = check_distance_comparison(traj, profiles)
-            reports[rep.name] = rep
-        if "abar-decay" in spec.checks:
-            rep = check_abar_decay(traj, profiles)
-            reports[rep.name] = rep
-        if "curvature-bound" in spec.checks:
-            rep = check_curvature_bound(traj, profiles)
-            reports[rep.name] = rep
-        if "convergence" in spec.checks:
-            metrics = convergence_metrics(traj, profiles)
-            rep = metrics.l2_report()
-            reports[rep.name] = rep
-            passed = passed and metrics.identity_pass
-        passed = passed and all(r.passed for r in reports.values())
+    checks = spec.checks if traj.kind == KIND_NORMALIZED else ()
+    measures = measure(traj, checks)
+    reports = {r.name: r for r in (_CHECKS[c](measures) for c in checks)}
+    # the identity is judged only where it was measured
+    passed = (
+        traj.termination == TERM_END
+        and all(r.passed for r in reports.values())
+        and ("convergence" not in checks or identity_holds(measures))
+    )
 
     result = RunResult(
         spec=spec,
         initial=initial,
         trajectory=traj,
-        profiles=profiles,
+        checks=checks,
+        measures=measures,
         reports=reports,
-        metrics=metrics,
         passed=passed,
     )
     if persist:
@@ -330,34 +329,18 @@ def run_directory(spec: RunSpec) -> Path:
     return root / f"{stem}-{hashlib.sha256(blob).hexdigest()[:8]}"
 
 
-def _series_rows(result: RunResult):
-    traj = result.trajectory
-    for i, snap in enumerate(traj.snapshots):
-        fr = snap.frame
-        prof = result.profiles[i] if result.profiles is not None else None
-        l2 = result.metrics.l2_dev[i] if result.metrics is not None else math.nan
-        yield (
-            snap.step,
-            snap.time,
-            fr.length,
-            fr.k_max,
-            fr.k_min,
-            fr.avg_k2,
-            fr.area,
-            prof.a_bar if prof else math.nan,
-            prof.t_bar if prof else math.nan,
-            prof.min_z if prof else math.nan,
-            l2,
-        )
-
-
 SERIES_HEADER = "step,time,L,k_max,k_min,avg_k2,area,a_bar,t_bar,min_Z,l2_dev"
+# the Measures columns after step, in SERIES_HEADER order
+_SERIES_COLUMNS = ("time", *FRAME_COLUMNS, *PROFILE_COLUMNS, "l2_dev")
 
 
 def write_series_csv(result: RunResult, path: Path) -> None:
+    """One row per snapshot of the run's measures; unmeasured columns read nan."""
+    m = result.measures
+    cols = [getattr(m, c) for c in _SERIES_COLUMNS]
     lines = [SERIES_HEADER]
-    for row in _series_rows(result):
-        lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:]]))
+    for i, step in enumerate(m.step):
+        lines.append(",".join([str(step)] + [_fmt(c[i]) for c in cols]))
     path.write_text("\n".join(lines) + "\n")
 
 

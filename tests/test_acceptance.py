@@ -70,7 +70,7 @@ def test_criterion_02_circle_fixed_point():
     assert displacement < 1e-6
     assert res.passed and all(r.passed for r in res.reports.values())
     assert res.reports["abar-decay"].time.size == 0
-    met = res.metrics
+    met = res.measures
     for name in ("l2_dev", "sup_dev", "circle_dist", "sup_dk"):
         assert float(np.max(getattr(met, name))) < 1e-9, name
     assert wall < 10.0
@@ -163,8 +163,9 @@ def test_criterion_04_distance_comparison(flagship_ellipse, flagship_dumbbell):
 def test_criterion_05_abar_decay(flagship_ellipse, flagship_dumbbell):
     for res in (flagship_ellipse, flagship_dumbbell):
         assert res.reports["abar-decay"].passed
-        log_a0 = math.log(res.profiles[0].a_bar)
-        for t, p in zip(res.trajectory.times, res.profiles):
+        profiles = res.measures.profiles
+        log_a0 = math.log(profiles[0].a_bar)
+        for t, p in zip(res.trajectory.times, profiles):
             if p.a_bar > 0.0:
                 assert math.log(p.a_bar) <= log_a0 - t + 0.05
 
@@ -182,7 +183,7 @@ def test_criterion_07_l2_convergence(flagship_ellipse, flagship_dumbbell):
         assert rep.passed
         assert np.all(rep.measured <= rep.bound * 1.05)
 
-    met = flagship_ellipse.metrics
+    met = flagship_ellipse.measures
     assert flagship_ellipse.trajectory.times[-1] >= 6.0
     assert met.circle_dist[-1] < 5e-3
     assert met.sup_dev[-1] < 1e-2
@@ -196,7 +197,7 @@ def test_criterion_08_nonconvex_rounds(flagship_dumbbell):
     assert convex.size > 0
     assert float(traj.times[convex[0]]) < 6.0
 
-    met = flagship_dumbbell.metrics
+    met = flagship_dumbbell.measures
     assert met.circle_dist[-1] < 1e-2
     assert abs(met.radius[-1] - 1.0) < 1e-2
 

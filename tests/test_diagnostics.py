@@ -2,20 +2,21 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from csflow import diagnostics
-from csflow.comparison import ProfileSummary, profile
+from csflow import cli, diagnostics
+from csflow.comparison import profile
 from csflow.diagnostics import (
     BoundReport,
-    ConvergenceMetrics,
-    check_abar_decay,
     check_curvature_bound,
     check_distance_comparison,
-    convergence_metrics,
+    check_l2_bound,
     geometric_tolerance,
+    identity_holds,
+    measure,
     snapshot_profiles,
 )
 from csflow.dynamics import (
@@ -28,7 +29,7 @@ from csflow.dynamics import (
 )
 from csflow.errors import DomainError, WrongRunKind
 from csflow.geometry import canonical_scale
-from csflow.harness import RunSpec, execute, gen_circle, gen_ellipse
+from csflow.harness import ALL_CHECKS, RunSpec, execute, gen_circle, gen_ellipse
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,15 +83,15 @@ def test_every_stock_curve_passes_all_checks(checked_run):
 
 
 def test_quadrature_identity_every_snapshot(checked_run):
-    met = checked_run.metrics
-    assert met.identity_pass
+    met = checked_run.measures
+    assert identity_holds(met)
     assert float(np.max(met.identity_residual)) <= 1e-10
 
 
 def test_circle_reports_are_degenerate_but_clean(circle_run):
     res = circle_run
     assert res.passed
-    assert res.profiles[0].round_circle
+    assert res.measures.profiles[0].round_circle
 
     dist = res.reports["distance-comparison"]
     assert dist.passed and dist.worst_margin >= -1e-9
@@ -108,13 +109,13 @@ def test_circle_reports_are_degenerate_but_clean(circle_run):
 
 
 def test_circle_deviations_at_rounding_level(circle_run):
-    met = circle_run.metrics
+    met = circle_run.measures
     for name in ("l2_dev", "sup_dev", "circle_dist", "sup_dk"):
         assert float(np.max(getattr(met, name))) < 1e-9, name
-    assert met.identity_pass
+    assert identity_holds(met)
     # the L2 bound underflows to zero; the floored margin must still clear
-    assert np.all(met.l2_bound == 0.0)
-    rep = met.l2_report()
+    rep = check_l2_bound(met)
+    assert np.all(rep.bound == 0.0)
     assert rep.passed and abs(rep.worst_margin) < 1e-9
 
 
@@ -147,10 +148,9 @@ def test_report_passes_when_worst_margin_is_within_tolerance():
 
 
 def test_measured_column_is_per_snapshot_min_z(circle_run):
-    traj = circle_run.trajectory
-    profiles = snapshot_profiles(traj)
-    rep = check_distance_comparison(traj, profiles)
-    assert rep.measured == pytest.approx([p.min_z for p in profiles], abs=0.0)
+    m = measure(circle_run.trajectory, ("distance-comparison",))
+    rep = check_distance_comparison(m)
+    assert rep.measured == pytest.approx([p.min_z for p in m.profiles], abs=0.0)
 
 
 def test_execute_profiles_each_snapshot_once(monkeypatch):
@@ -169,12 +169,12 @@ def test_execute_profiles_each_snapshot_once(monkeypatch):
     )
     res = execute(spec, persist=False)
     snaps = res.trajectory.snapshots
-    assert len(calls) == len(snaps) == len(res.profiles)
+    assert len(calls) == len(snaps) == len(res.measures.profiles)
     assert [id(f) for f in calls] == [id(s.frame) for s in snaps]
 
 
 def test_geometric_tolerance_tracks_mesh(circle_run):
-    assert geometric_tolerance(circle_run.trajectory) == pytest.approx(
+    assert geometric_tolerance(circle_run.measures.n) == pytest.approx(
         10.0 * (TWO_PI / 64) ** 2
     )
 
@@ -188,9 +188,9 @@ def test_curvature_bound_tight_at_start_on_ellipse():
         flow=FlowConfig(n=128, t_end=0.2),
     )
     res = execute(spec, persist=False)
-    i, j = res.profiles[0].attained
+    i, j = res.measures.profiles[0].attained
     assert i == j
-    rep = check_curvature_bound(res.trajectory, res.profiles)
+    rep = check_curvature_bound(res.measures)
     assert abs(rep.margin[0]) < 1e-12
     assert rep.margin[1] > 1e-3
 
@@ -202,7 +202,7 @@ def test_ellipse_settles_onto_unit_circle_by_t8():
         flow=FlowConfig(n=128, t_end=8.0, snapshot_every=100),
     )
     res = execute(spec, persist=False)
-    met = res.metrics
+    met = res.measures
     assert res.passed
     assert met.circle_dist[-1] < 1e-3
     assert abs(met.radius[-1] - 1.0) < 1e-3
@@ -211,22 +211,14 @@ def test_ellipse_settles_onto_unit_circle_by_t8():
 # -- the empirical monotone-margin flag ----------------------------------------
 
 
-def _stub_profile() -> ProfileSummary:
-    return ProfileSummary(
-        a_bar=1.0,
-        t_bar=0.0,
-        round_circle=False,
-        attained=(0, 0),
-        diagonal_max=1.0,
-        offdiagonal_max=0.0,
-        n_active=0,
-        saturated=False,
-    )
-
-
 def _handmade_trajectory(timed_curves) -> Trajectory:
     snaps = [Snapshot(t, i, c) for i, (t, c) in enumerate(timed_curves)]
     return Trajectory(kind=KIND_NORMALIZED, snapshots=snaps, termination=TERM_END)
+
+
+def _stub_measures(traj: Trajectory):
+    # the frame columns of a handmade trajectory, with the offset t_bar = 0
+    return replace(measure(traj), t_bar=np.zeros(len(traj.snapshots)))
 
 
 def test_margin_decrease_is_flagged_not_failed(caplog):
@@ -234,7 +226,7 @@ def test_margin_decrease_is_flagged_not_failed(caplog):
     bump = canonical_scale(gen_ellipse(1.005, 1.0, 64))
     traj = _handmade_trajectory([(1.0, circ), (2.0, bump), (3.0, circ)])
     with caplog.at_level(logging.WARNING, logger="csflow.diagnostics"):
-        rep = check_curvature_bound(traj, [_stub_profile()] * 3)
+        rep = check_curvature_bound(_stub_measures(traj))
     assert any("not monotone" in r.message for r in caplog.records)
     assert rep.passed
 
@@ -244,9 +236,67 @@ def test_margin_flag_quiet_when_headroom_grows(caplog):
     bump = canonical_scale(gen_ellipse(1.005, 1.0, 64))
     traj = _handmade_trajectory([(0.5, circ), (1.0, bump), (1.01, circ)])
     with caplog.at_level(logging.WARNING, logger="csflow.diagnostics"):
-        rep = check_curvature_bound(traj, [_stub_profile()] * 3)
+        rep = check_curvature_bound(_stub_measures(traj))
     assert not any("not monotone" in r.message for r in caplog.records)
     assert rep.passed
+
+
+# -- the quadrature identity in the verdict ------------------------------------
+
+SMALL_ELLIPSE = ["run", "--generator", "ellipse", "--n", "64", "--t-end", "0.1"]
+
+
+@pytest.fixture
+def nan_residual(monkeypatch):
+    # the second snapshot's quadrature residual comes out NaN
+    original = diagnostics.convergence_metrics
+    frames = []
+
+    def faulty(frame):
+        frames.append(frame)
+        metrics = original(frame)
+        if len(frames) == 2:
+            metrics["identity_residual"] = math.nan
+        return metrics
+
+    monkeypatch.setattr(diagnostics, "convergence_metrics", faulty)
+
+
+def _small_ellipse_spec(**kwargs) -> RunSpec:
+    return RunSpec(
+        generator="ellipse",
+        params={"a": 2.0, "b": 1.0},
+        flow=FlowConfig(n=64, t_end=0.1),
+        **kwargs,
+    )
+
+
+def test_nan_identity_residual_fails_the_run(nan_residual):
+    res = execute(_small_ellipse_spec(), persist=False)
+    assert int(np.isnan(res.measures.identity_residual).sum()) == 1
+    assert all(r.passed for r in res.reports.values())
+    assert not res.passed
+
+
+def test_cli_prints_a_nan_identity_residual_as_fail(nan_residual, capsys):
+    rc = cli.main([*SMALL_ELLIPSE, "--no-persist"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "quadrature-identity: FAIL" in out
+
+
+def test_unmeasured_identity_column_does_not_reach_the_verdict(capsys):
+    res = execute(
+        _small_ellipse_spec(checks=("abar-decay", "curvature-bound")), persist=False
+    )
+    assert np.isnan(res.measures.identity_residual).all()
+    assert res.passed
+
+    rc = cli.main([*SMALL_ELLIPSE, "--check", "curvature-bound", "--no-persist"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "curvature-bound: pass" in out
+    assert "quadrature-identity" not in out
 
 
 # -- flagship-run behavior ------------------------------------------------------
@@ -263,14 +313,14 @@ def test_dumbbell_becomes_convex_and_logs_threshold(flagship_dumbbell, caplog):
     assert k_min[-1] > 0.0
 
     with caplog.at_level(logging.INFO, logger="csflow.diagnostics"):
-        convergence_metrics(traj, flagship_dumbbell.profiles)
+        check_l2_bound(flagship_dumbbell.measures)
     marks = [r for r in caplog.records if "curvature positive" in r.message]
     assert len(marks) == 1
 
 
 def test_dumbbell_sup_ratio_collapses(flagship_dumbbell):
     traj = flagship_dumbbell.trajectory
-    profiles = flagship_dumbbell.profiles
+    profiles = flagship_dumbbell.measures.profiles
     a_bar = np.array([p.a_bar for p in profiles])
     at_4 = int(np.argmin(np.abs(traj.times - 4.0)))
     assert a_bar[at_4] < 0.05 * a_bar[0]
@@ -278,9 +328,9 @@ def test_dumbbell_sup_ratio_collapses(flagship_dumbbell):
 
 def test_dumbbell_minimum_z_sits_on_the_neck(flagship_dumbbell, caplog):
     traj = flagship_dumbbell.trajectory
-    profiles = flagship_dumbbell.profiles
+    profiles = flagship_dumbbell.measures.profiles
     with caplog.at_level(logging.INFO, logger="csflow.diagnostics"):
-        rep = check_distance_comparison(traj, profiles)
+        rep = check_distance_comparison(flagship_dumbbell.measures)
     assert rep.passed
     assert any("pair" in r.message for r in caplog.records)
 
@@ -294,7 +344,7 @@ def test_dumbbell_minimum_z_sits_on_the_neck(flagship_dumbbell, caplog):
 
 
 def test_dumbbell_derivative_quotients_collapse(flagship_dumbbell):
-    met = flagship_dumbbell.metrics
+    met = flagship_dumbbell.measures
     t = met.time
     at_1 = int(np.argmin(np.abs(t - 1.0)))
     assert met.sup_dk[-1] < 0.01 * met.sup_dk[at_1]
@@ -302,7 +352,7 @@ def test_dumbbell_derivative_quotients_collapse(flagship_dumbbell):
 
 def test_ellipse_derivative_decay_rate(flagship_ellipse):
     # log-linear fit of sup|dk/ds| over t >= 1: decay rate at least 0.8
-    met = flagship_ellipse.metrics
+    met = flagship_ellipse.measures
     tail = met.time >= 1.0
     slope = np.polyfit(met.time[tail], np.log(met.sup_dk[tail]), 1)[0]
     assert -slope >= 0.8
@@ -316,32 +366,19 @@ def test_checks_reject_unnormalized_runs():
     traj = Trajectory(kind=KIND_UNNORMALIZED, snapshots=[snap], termination=TERM_END)
     with pytest.raises(WrongRunKind):
         snapshot_profiles(traj)
-    for op in (
-        check_distance_comparison,
-        check_abar_decay,
-        check_curvature_bound,
-        convergence_metrics,
-    ):
+    for check in ALL_CHECKS:
         with pytest.raises(WrongRunKind):
-            op(traj, [_stub_profile()])
+            measure(traj, (check,))
+    # the frame columns need no normalization
+    assert measure(traj).profiles is None
 
 
 def test_metrics_reject_negative_values():
-    one = np.ones(1)
-    good = dict(
-        time=np.zeros(1),
-        l2_dev=one,
-        sup_dev=one,
-        center=np.zeros((1, 2)),
-        radius=one,
-        circle_dist=one,
-        sup_dk=one,
-        identity_residual=one,
-        l2_bound=one,
-        identity_pass=True,
-    )
-    ConvergenceMetrics(**good)
+    circle = canonical_scale(gen_circle(1.0, 64))
+    good = measure(_handmade_trajectory([(0.0, circle)]), ("convergence",))
     with pytest.raises(DomainError):
-        ConvergenceMetrics(**{**good, "l2_dev": -one})
+        replace(good, l2_dev=-np.ones(1))
     with pytest.raises(DomainError):
-        ConvergenceMetrics(**{**good, "radius": np.zeros(1)})
+        replace(good, radius=np.zeros(1))
+    # NaN marks a column that was not measured, never a domain error
+    assert np.isnan(measure(_handmade_trajectory([(0.0, circle)])).radius).all()

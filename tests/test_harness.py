@@ -120,6 +120,16 @@ def test_generator_rejects_bad_configuration(bad):
         bad()
 
 
+@pytest.mark.parametrize("n", [4, 7, True, 64.5, "64"])
+@pytest.mark.parametrize("name", ["circle", "ellipse", "dumbbell", "fourier"])
+def test_generate_rejects_a_vertex_count_that_a_flow_rejects(name, n):
+    # the same rule as FlowConfig.n, and the same error kind for every generator
+    with pytest.raises(ConfigError):
+        FlowConfig(n=n)
+    with pytest.raises(ConfigError):
+        generate(name, {"n": n})
+
+
 # -- run specs ------------------------------------------------------------------
 
 
@@ -218,15 +228,17 @@ def test_execute_wires_results(small_run):
         "curvature-bound",
         "l2-curvature-bound",
     }
-    assert small_run.metrics is not None
-    assert len(small_run.profiles) == len(small_run.trajectory.snapshots)
+    assert small_run.checks == ALL_CHECKS
+    assert not np.isnan(small_run.measures.l2_dev).any()
+    assert len(small_run.measures.profiles) == len(small_run.trajectory.snapshots)
 
 
 def test_execute_without_checks_or_persistence():
     spec = RunSpec(generator="circle", flow=FlowConfig(n=64, t_end=0.05), checks=())
     res = execute(spec, persist=False)
     assert res.outdir is None
-    assert res.reports == {} and res.profiles is None and res.metrics is None
+    assert res.reports == {} and res.measures.profiles is None
+    assert np.isnan(res.measures.l2_dev).all()
     assert res.passed  # reduces to: the flow reached its end time
 
 
@@ -237,7 +249,8 @@ def test_unnormalized_runs_skip_bound_checks():
     )
     res = execute(spec, persist=False)
     assert res.passed
-    assert res.reports == {} and res.profiles is None
+    assert res.checks == ()
+    assert res.reports == {} and res.measures.profiles is None
 
 
 def test_run_directory_roots(tmp_path, monkeypatch):
@@ -478,3 +491,18 @@ def test_cli_run_without_flow_flags_builds_default_flow_config(monkeypatch):
     assert cli.main(["run", "--no-persist"]) == 2
     assert specs[0].flow == FlowConfig()
     assert specs[0].generator == "circle"
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "dumbbell", "fourier"])
+def test_cli_run_without_shape_flags_builds_the_generator_defaults(name, monkeypatch):
+    specs = []
+
+    def capture(spec, persist=True):
+        specs.append(spec)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "execute", capture)
+    assert cli.main(["run", "--generator", name, "--n", "64", "--no-persist"]) == 2
+    assert specs[0].seed == RunSpec().seed
+    curve = materialize_curve(specs[0])
+    assert np.array_equal(curve.vertices, harness._GENERATORS[name](n=64).vertices)
