@@ -1,28 +1,39 @@
 """Run the two flagship configurations and print what ``csflow run`` prints.
 
-Both runs use the default flow settings (N = 512, semi-implicit, dt = 1e-3,
-t_end = 6) with every check enabled, and persist full run directories under
-the output root, so this doubles as the quickest way to regenerate the
-reference data set.
+Both runs use the default flow settings of ``FlowConfig`` and the
+generators' default shapes, with every check enabled, and persist full run
+directories under the output root, so this doubles as the quickest way to
+regenerate the reference data set.
 """
 
 import argparse
+import inspect
 import sys
 
 from csflow.cli import print_run
 from csflow.dynamics import FlowConfig
-from csflow.harness import RunSpec, execute
+from csflow.harness import RunSpec, execute, gen_dumbbell, gen_ellipse
+
+
+def _defaults(generator, *names):
+    """The generator's own keyword defaults for the named shape parameters."""
+    params = inspect.signature(generator).parameters
+    return {name: params[name].default for name in names}
+
 
 FLAGSHIPS = [
-    ("ellipse", {"a": 2.0, "b": 1.0}),
-    ("dumbbell", {"neck": 0.2}),
+    ("ellipse", _defaults(gen_ellipse, "a", "b")),
+    ("dumbbell", _defaults(gen_dumbbell, "neck")),
 ]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=512, help="vertex count")
-    parser.add_argument("--t-end", type=float, default=6.0, help="end time")
+    defaults = FlowConfig()
+    parser.add_argument("--n", type=int, default=defaults.n, help="vertex count")
+    parser.add_argument(
+        "--t-end", type=float, default=defaults.t_end, help="end time"
+    )
     parser.add_argument("--outdir-root", default=None, help="run directory root")
     args = parser.parse_args(argv)
 

@@ -8,27 +8,37 @@ settle at the same rate.
 """
 
 import argparse
+import inspect
 import sys
 
 from csflow.diagnostics import geometric_tolerance
 from csflow.dynamics import FlowConfig
 from csflow.geometry import build_frame, canonical_scale
-from csflow.harness import RunSpec, execute, generate
+from csflow.harness import RunSpec, execute, gen_dumbbell, gen_ellipse, generate
 from csflow.comparison import profile
 
 CHECKS = ("distance-comparison", "abar-decay", "curvature-bound", "l2-curvature-bound")
 
 
+def _defaults(generator, *names):
+    """The generator's own keyword defaults for the named shape parameters."""
+    params = inspect.signature(generator).parameters
+    return {name: params[name].default for name in names}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="128,256,512")
-    parser.add_argument("--t-end", type=float, default=6.0)
+    parser.add_argument("--t-end", type=float, default=FlowConfig().t_end)
     parser.add_argument(
         "--curves", default="ellipse,dumbbell", help="generators to sweep"
     )
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
-    params = {"ellipse": {"a": 2.0, "b": 1.0}, "dumbbell": {"neck": 0.2}}
+    params = {
+        "ellipse": _defaults(gen_ellipse, "a", "b"),
+        "dumbbell": _defaults(gen_dumbbell, "neck"),
+    }
 
     ok = True
     for gen in args.curves.split(","):

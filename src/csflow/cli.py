@@ -115,10 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-identities", help="closed-form check suite")
     p_ver.add_argument("--grid-x", type=int, default=400, help="x resolution")
     p_ver.add_argument("--grid-t", type=int, default=101, help="t resolution")
-    p_ver.add_argument(
-        "--_perturb-f", dest="perturb_f", type=float, default=None,
-        help=argparse.SUPPRESS,  # fault injection for testing the suite itself
-    )
     p_ver.set_defaults(func=_cmd_verify)
 
     p_prof = sub.add_parser("profile", help="chord/arc profile of a curve file")
@@ -162,11 +158,15 @@ def _cmd_run(args) -> int:
 
 def print_run(result: RunResult) -> None:
     """The lines ``csflow run`` prints for a finished run: how it ended,
-    each report's verdict, the quadrature identity when the convergence
-    check ran, and the run directory when one was written."""
+    the requested checks it skipped, each report's verdict, the quadrature
+    identity when the convergence check ran, and the run directory when one
+    was written."""
     print(f"termination: {result.trajectory.termination}")
     final = result.trajectory.final
     print(f"final: t = {final.time:.6g}, steps = {final.step}")
+    if result.spec.checks and not result.checks:
+        skipped = ", ".join(result.spec.checks)
+        print(f"checks skipped (they need a normalized run): {skipped}")
     for name, report in result.reports.items():
         status = "pass" if report.passed else "FAIL"
         print(f"{name}: {status} (worst margin {report.worst_margin:.3e})")
@@ -179,7 +179,7 @@ def print_run(result: RunResult) -> None:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify_identities(args.grid_x, args.grid_t, perturb_scale=args.perturb_f)
+    reports = verify_identities(args.grid_x, args.grid_t)
     width = max(len(r.name) for r in reports)
     for r in reports:
         status = "pass" if r.passed else "FAIL"

@@ -436,10 +436,11 @@ def _pair_blocks(frame: CurveFrame):
     Yields ``(start, i_idx, j_idx, d, ell, u)``: the flat index of the
     block's first pair, the pairs, the chords, the shorter arcs clipped to
     pi (the L/2 rounding hair) and u = sin(ell/2); each block has passed
-    the domain check of a_solve.
+    the domain check of a_solve. The blocks' row ranges [i0, i1) tile
+    [0, n - 1); row n - 1 holds no pairs.
     """
     n = frame.n
-    starts = _row_starts(n)
+    starts = _row_starts(n)[:-1]  # rows 0 .. n - 2
     i0 = 0
     while i0 < n - 1:
         i1 = max(int(np.searchsorted(starts, starts[i0] + _BLOCK_PAIRS)), i0 + 1)
@@ -556,22 +557,25 @@ def profile(
     return replace(summary, min_z=best_z[0], min_z_pair=best_z[1])
 
 
-def ratio_table(frame: CurveFrame):
-    """The profile without Z, plus the ratio a of every vertex pair.
+def ratio_table(frame: CurveFrame, emit) -> ProfileSummary:
+    """The profile without Z, with the ratio a of every vertex pair handed
+    to ``emit(ell, d, a)`` one row block at a time, in flat pair order.
 
-    One whole-range sweep, since the table needs every pair: a_solve over
-    all pairs gives both the table and the off-diagonal supremum (argmax,
-    max and count of the same array that :func:`profile` prunes to).
-    Returns ``(summary, ell, d, a)``.
+    The blocks are those of the profile sweep, ell clipped to pi, and a is
+    a_solve over each block, so memory stays O(N + block). The off-diagonal
+    supremum is the running first argmax, maximum and count of the same
+    values that :func:`profile` prunes to.
     """
     _require_canonical(frame)
-    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
-    ell = np.minimum(ell, math.pi)  # clip the L/2 rounding hair
-    a = a_solve(d, ell)
-    im = int(np.argmax(a))
-    n_active = int(np.count_nonzero(a))
-    pair = (int(i_idx[im]), int(j_idx[im]))
-    return _summary(frame, pair, float(a[im]), n_active), ell, d, a
+    im, off_max, n_active = 0, 0.0, 0
+    for start, _, _, d, ell, _ in _pair_blocks(frame):
+        a = a_solve(d, ell)
+        emit(ell, d, a)
+        k = int(np.argmax(a))
+        if a[k] > off_max:  # strict: ties go to the earlier block
+            im, off_max = start + k, float(a[k])
+        n_active += int(np.count_nonzero(a))
+    return _summary(frame, _pair_at(frame.n, im), off_max, n_active)
 
 
 # -- identity and inequality sweeps ------------------------------------------
@@ -617,29 +621,22 @@ def _report(name, grid, residual, violation, tol) -> IdentityReport:
     )
 
 
-def _ltilde(x, t, perturb=None):
+def _ltilde(x, t):
     """Residual of the linearized operator that f annihilates:
 
         4 f'' + f - (4 f'/sin(x/2)) (f' - cos(x/2)) - df/dt.
-
-    ``perturb`` (a callable (x, t) -> array) is added to the zeroth-order
-    term, a hook for mutation-testing the harness.
     """
     u = np.sin(0.5 * x)
     c = np.cos(0.5 * x)
     fv = f_eval(x, t)
-    if perturb is not None:
-        fv = fv + perturb(x, t)
     fp = f_x(x, t)
     return 4.0 * f_xx(x, t) + fv - (4.0 * fp / u) * (fp - c) - f_t(x, t)
 
 
-def _l_full(x, t, perturb=None):
+def _l_full(x, t):
     """The full comparison operator 4 f'' + f - f' x + 4 (f'/x) arccos(f')^2
     - df/dt, defined where f' in [0, 1] (x in (0, pi])."""
     fv = f_eval(x, t)
-    if perturb is not None:
-        fv = fv + perturb(x, t)
     fp = f_x(x, t)
     acos2 = np.arccos(np.clip(fp, -1.0, 1.0)) ** 2
     return 4.0 * f_xx(x, t) + fv - fp * x + 4.0 * (fp / x) * acos2 - f_t(x, t)
@@ -656,7 +653,6 @@ def check_Ltilde(
     nt: int = 101,
     t_span: tuple[float, float] = (-5.0, 5.0),
     margin: float = 0.01,
-    perturb=None,
 ) -> IdentityReport:
     """Sweep |L-tilde f| over x in (0, 2*pi), t in t_span.
 
@@ -665,7 +661,7 @@ def check_Ltilde(
     throughout; tolerance 1e-9.
     """
     X, T = _grid(nx, nt, margin, TWO_PI - margin, t_span)
-    resid = np.max(np.abs(_ltilde(X, T, perturb)))
+    resid = np.max(np.abs(_ltilde(X, T)))
     grid = (
         f"x in [{margin:.3g}, 2*pi - {margin:.3g}] x {nx}, "
         f"t in [{t_span[0]:g}, {t_span[1]:g}] x {nt}"
@@ -677,7 +673,6 @@ def check_L_dominates(
     nx: int = 400,
     nt: int = 101,
     t_span: tuple[float, float] = (-5.0, 5.0),
-    perturb=None,
 ) -> IdentityReport:
     """Verify L f >= L-tilde f (hence L f >= 0) on x in (0, pi].
 
@@ -685,8 +680,8 @@ def check_L_dominates(
     v = cos(x/2); the sweep also checks h'' >= 0 on [0, 1 - 1e-6] directly.
     """
     X, T = _grid(nx, nt, 0.01, math.pi, t_span)
-    lf = _l_full(X, T, perturb)
-    gap = lf - _ltilde(X, T, perturb)
+    lf = _l_full(X, T)
+    gap = lf - _ltilde(X, T)
     hv = h_second(np.linspace(0.0, 1.0 - 1e-6, 10_000))
     violation = max(-float(np.min(gap)), -float(np.min(lf)), -float(np.min(hv)))
     grid = f"x in (0, pi] x {nx}, t in [{t_span[0]:g}, {t_span[1]:g}] x {nt}"
@@ -697,7 +692,6 @@ def check_f_shape(
     nx: int = 400,
     nt: int = 101,
     t_span: tuple[float, float] = (-5.0, 5.0),
-    perturb=None,
 ) -> IdentityReport:
     """Shape of the barrier: increasing in t, concave in x, symmetric about
     pi, and vanishing as t -> -inf (max f(x, -20) < 1.6e-8)."""
@@ -705,8 +699,6 @@ def check_f_shape(
     x_line = X[:, 0]
     fv = f_eval(X, T)
     mirror = f_eval(TWO_PI - X, T)
-    if perturb is not None:
-        fv = fv + perturb(X, T)
     sym = np.max(np.abs(fv - mirror))
     violation = max(
         -float(np.min(f_t(X, T))),  # df/dt must be > 0

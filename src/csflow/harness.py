@@ -3,9 +3,10 @@
 The CLI in :mod:`csflow.cli` is a thin argument layer over this module.
 A run is described by a :class:`RunSpec` (initial curve, flow settings,
 requested bound checks, output directory), executed by :func:`execute`,
-and persisted as a directory holding ``config.json`` (spec echo, initial
-curve hash, code version), ``snapshots/curve_NNNNNN.json``, ``series.csv``
-(one row per snapshot), and one JSON report per bound check.
+and persisted as a directory holding ``config.json`` (spec echo, the
+checks that ran, initial curve hash, code version),
+``snapshots/curve_NNNNNN.json``, ``series.csv`` (one row per snapshot), and
+one JSON report per bound check.
 
 :func:`execute` measures every snapshot once into a
 :class:`~csflow.diagnostics.Measures` record; the reports, ``series.csv``
@@ -72,10 +73,6 @@ ALL_CHECKS = tuple(_CHECKS)
 
 _FOURIER_AMPLITUDE = 0.15
 _FOURIER_ATTEMPTS = 100
-
-# Rows per write of the profile CSV: the text of all n(n-1)/2 rows is never
-# held at once.
-_CSV_ROWS = 2**14
 
 
 def _fmt(x) -> str:
@@ -354,6 +351,7 @@ def persist_run(result: RunResult) -> Path:
     ).hexdigest()
     config = {
         "run_spec": result.spec.to_json_dict(),
+        "checks_run": list(result.checks),
         "initial_curve_sha256": curve_hash,
         "version": _code_version(),
         "termination": result.trajectory.termination,
@@ -381,23 +379,14 @@ def persist_run(result: RunResult) -> Path:
 
 # -- identity suite, static profiling -----------------------------------------
 
-def verify_identities(
-    nx: int = 400, nt: int = 101, perturb_scale: float | None = None
-) -> list[IdentityReport]:
-    """The full closed-form check suite on analytic inputs.
-
-    ``perturb_scale`` adds scale*x to the barrier in the three f-based
-    checks (a deliberate fault, used to prove the suite can fail).
-    """
-    perturb = None
-    if perturb_scale is not None:
-        perturb = lambda X, T: perturb_scale * np.asarray(X)  # noqa: E731
+def verify_identities(nx: int = 400, nt: int = 101) -> list[IdentityReport]:
+    """The full closed-form check suite on analytic inputs."""
     circle = AnalyticEllipse(1.0, 1.0)
     ellipse = AnalyticEllipse(2.0, 1.0)
     return [
-        check_Ltilde(nx, nt, perturb=perturb),
-        check_L_dominates(nx, nt, perturb=perturb),
-        check_f_shape(nx, nt, perturb=perturb),
+        check_Ltilde(nx, nt),
+        check_L_dominates(nx, nt),
+        check_f_shape(nx, nt),
         check_g_positive(),
         check_h_convex(),
         replace(
@@ -418,13 +407,14 @@ def verify_identities(
 def profile_curve(path: str | Path, out_csv: str | Path | None = None):
     """Profile a curve file: summary plus the per-pair (l, d, a) table.
 
-    The curve is rescaled to length 2*pi first. Returns the summary and the
-    CSV path written.
+    The curve is rescaled to length 2*pi first. Each row block of the table
+    is written as :func:`~csflow.comparison.ratio_table` solves it, so the
+    table is never held whole. Returns the summary and the CSV path written.
     """
     curve = load_curve(path)
     if not is_embedded(curve):
         raise NotEmbedded("cannot profile a self-intersecting curve", path=str(path))
-    summary, ell, d, a = ratio_table(build_frame(canonical_scale(curve)))
+    frame = build_frame(canonical_scale(curve))
     out_csv = (
         Path(out_csv)
         if out_csv is not None
@@ -432,9 +422,12 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
     )
     with open(out_csv, "w") as fh:
         fh.write("l,d,a\n")
-        for k in range(0, a.size, _CSV_ROWS):
-            cols = (c[k : k + _CSV_ROWS].tolist() for c in (ell, d, a))
+
+        def write_block(ell, d, a):
+            rows = zip(ell.tolist(), d.tolist(), a.tolist())
             # "%.17g" formats a float exactly as _fmt does
-            fh.write("".join(["%.17g,%.17g,%.17g\n" % row for row in zip(*cols)]))
+            fh.write("".join(["%.17g,%.17g,%.17g\n" % row for row in rows]))
+
+        summary = ratio_table(frame, write_block)
     return summary, out_csv
 

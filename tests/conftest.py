@@ -1,8 +1,9 @@
-"""Shared fixtures: the two flagship runs reused across test modules.
+"""Shared fixtures: the two flagship runs reused across test modules, and a
+seeded fault in the barrier.
 
-Both are full default-config runs (N = 512, semi-implicit, t_end = 6) with
-every check enabled, persisted into the pytest tmp tree so the harness and
-acceptance tests can inspect the on-disk layout.
+Both runs are full default-config runs (N = 512, semi-implicit, t_end = 6)
+with every check enabled, persisted into the pytest tmp tree so the harness
+and acceptance tests can inspect the on-disk layout.
 """
 
 import re
@@ -10,7 +11,19 @@ import time
 
 import pytest
 
-from csflow import FlowConfig, RunSpec, execute
+from csflow import FlowConfig, RunSpec, comparison, execute
+
+
+@pytest.fixture
+def seed_barrier_fault(monkeypatch):
+    """``seed(fault)`` adds fault(x) to every value comparison.f_eval returns,
+    for the rest of the test: a fault the identity checks must catch."""
+
+    def seed(fault):
+        f = comparison.f_eval
+        monkeypatch.setattr(comparison, "f_eval", lambda x, t: f(x, t) + fault(x))
+
+    return seed
 
 
 def _timed_execute(spec):

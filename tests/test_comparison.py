@@ -295,7 +295,7 @@ def test_profile_requires_canonical_length():
     with pytest.raises(DomainError):
         profile(build_frame(gen_ellipse(2.0, 1.0, 64)))
     with pytest.raises(DomainError):
-        ratio_table(build_frame(gen_ellipse(2.0, 1.0, 64)))
+        ratio_table(build_frame(gen_ellipse(2.0, 1.0, 64)), lambda *block: None)
 
 
 def test_profile_z_against_own_offset_is_nonnegative():
@@ -334,16 +334,56 @@ def test_profile_without_offset_uses_own_offset(make):
         lambda: gen_fourier(3, 6, 256),
     ],
 )
-def test_ratio_table_matches_profile_and_a_solve(make):
+def test_ratio_table_matches_profile_and_a_solve(make, monkeypatch):
     frame = build_frame(canonical_scale(make()))
-    summary, ell, d, a = ratio_table(frame)
+    # oracle: one whole-range sweep and a_solve over every pair
     _, _, d_all, ell_all = all_pairs_chord_arc(frame)
-    assert np.array_equal(d, d_all)
-    assert np.array_equal(ell, np.minimum(ell_all, math.pi))
-    assert np.array_equal(a, a_solve(d, ell))
-    assert summary.min_z is None and summary.min_z_pair is None
-    full = profile(frame)
-    assert summary == replace(full, min_z=None, min_z_pair=None)
+    ell_all = np.minimum(ell_all, math.pi)
+    a_all = a_solve(d_all, ell_all)
+    want = replace(profile(frame), min_z=None, min_z_pair=None)
+    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+        blocks = []
+        summary = ratio_table(frame, lambda *block: blocks.append(block))
+        if block_pairs == 1:
+            assert len(blocks) == frame.n - 1
+        ell, d, a = (np.concatenate(col) for col in zip(*blocks))
+        assert np.array_equal(ell, ell_all)
+        assert np.array_equal(d, d_all)
+        assert np.array_equal(a, a_all)
+        assert summary == want
+        assert summary.offdiagonal_max == a_all.max()
+        assert summary.n_active == np.count_nonzero(a_all)
+
+
+def test_ratio_table_ties_go_to_the_first_pair(monkeypatch):
+    # a fake ratio with wide ties, on a circle whose diagonal values are 0,
+    # so the summary shows which of the tied pairs won
+    frame = build_frame(canonical_scale(gen_circle(1.0, 64)))
+    monkeypatch.setattr(comparison, "a_solve", lambda d, ell: np.floor(4.0 * ell))
+    i_idx, j_idx, _, ell = all_pairs_chord_arc(frame)
+    a = np.floor(4.0 * np.minimum(ell, math.pi))
+    im = int(np.argmax(a))
+    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+        summary = ratio_table(frame, lambda *block: None)
+        assert summary.attained == (i_idx[im], j_idx[im])
+        assert summary.offdiagonal_max == a[im] == 12.0
+        assert summary.n_active == np.count_nonzero(a)
+
+
+def test_ratio_table_memory_stays_bounded_at_n_2048():
+    # memory guard, no timing: the table is solved and handed out one row
+    # block at a time, where one whole-range table peaked near 250 MiB
+    frame = build_frame(canonical_scale(gen_fourier(4, 6, 2048)))
+    tracemalloc.start()
+    try:
+        summary = ratio_table(frame, lambda ell, d, a: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.n_active > 0
+    assert peak < 16 * 2**20
 
 
 # -- the pruned, blocked sweep against the all-roots oracle -----------------------
@@ -638,8 +678,9 @@ def test_ltilde_annihilates_f():
     assert report.max_residual < 1e-9
 
 
-def test_ltilde_detects_perturbation():
-    broken = check_Ltilde(perturb=lambda x, t: 1e-6 * x)
+def test_ltilde_detects_perturbation(seed_barrier_fault):
+    seed_barrier_fault(lambda x: 1e-6 * x)
+    broken = check_Ltilde()
     assert not broken.passed
     assert broken.max_residual > 1e-7
 
@@ -650,9 +691,10 @@ def test_l_dominates_ltilde():
     assert report.max_violation <= 1e-10
 
 
-def test_f_shape_report():
+def test_f_shape_report(seed_barrier_fault):
     assert check_f_shape().passed
-    assert not check_f_shape(perturb=lambda x, t: 1e-4 * x * x).passed
+    seed_barrier_fault(lambda x: 1e-4 * x * x)
+    assert not check_f_shape().passed
 
 
 def test_g_positive_and_h_convex_reports():

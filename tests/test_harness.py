@@ -1,5 +1,6 @@
 """Generators, run specs, persistence, the identity suite, and the CLI."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -175,6 +176,7 @@ def test_run_directory_layout(small_run):
     config = json.loads((outdir / "config.json").read_text())
     assert set(config) == {
         "run_spec",
+        "checks_run",
         "initial_curve_sha256",
         "version",
         "termination",
@@ -184,6 +186,7 @@ def test_run_directory_layout(small_run):
     assert config["termination"] == TERM_END
     assert config["passed"] is True
     assert RunSpec.from_json_dict(config["run_spec"]) == small_run.spec
+    assert config["checks_run"] == list(ALL_CHECKS)
     assert len(config["initial_curve_sha256"]) == 64
 
     snaps = sorted((outdir / "snapshots").iterdir())
@@ -303,8 +306,9 @@ def test_identity_suite_reports():
     assert all(r.passed for r in reports)
 
 
-def test_identity_suite_catches_a_seeded_fault():
-    reports = verify_identities(80, 21, perturb_scale=1e-6)
+def test_identity_suite_catches_a_seeded_fault(seed_barrier_fault):
+    seed_barrier_fault(lambda x: 1e-6 * x)
+    reports = verify_identities(80, 21)
     by_name = {r.name: r for r in reports}
     assert not by_name["L-tilde annihilates f"].passed
     assert not by_name["f shape (monotone/concave/symmetric)"].passed
@@ -328,19 +332,25 @@ def test_profile_curve_writes_pair_table(ellipse_path, tmp_path):
     assert float(first[0]) == pytest.approx(TWO_PI / 512, rel=1e-2)
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 7])
+# 7: one row per block, but the last rows (under 7 pairs each) grouped
+@pytest.mark.parametrize("block_pairs", [None, 7])
 def test_profile_curve_csv_matches_whole_text_writer(
-    ellipse_path, tmp_path, monkeypatch, chunk_rows
+    ellipse_path, tmp_path, monkeypatch, block_pairs
 ):
-    # the chunked writer emits exactly the text of one join over every row
-    if chunk_rows is not None:
-        monkeypatch.setattr(harness, "_CSV_ROWS", chunk_rows)
-    _, out_csv = profile_curve(ellipse_path, tmp_path / "pairs.csv")
-    curve = geometry.canonical_scale(geometry.load_curve(ellipse_path))
-    _, ell, d, a = comparison.ratio_table(geometry.build_frame(curve))
+    # the block-by-block writer emits exactly the text of one join over the
+    # rows of a whole-range sweep with a_solve over every pair
+    if block_pairs is not None:
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+    summary, out_csv = profile_curve(ellipse_path, tmp_path / "pairs.csv")
+    frame = build_frame(canonical_scale(load_curve(ellipse_path)))
+    _, _, d, ell = all_pairs_chord_arc(frame)
+    ell = np.minimum(ell, math.pi)
+    a = comparison.a_solve(d, ell)
     rows = [",".join(harness._fmt(v) for v in row) for row in zip(ell, d, a)]
     lines = ["l,d,a", *rows]
     assert out_csv.read_text() == "\n".join(lines) + "\n"
+    want = comparison.profile(frame)
+    assert summary == dataclasses.replace(want, min_z=None, min_z_pair=None)
 
 
 def test_profile_curve_default_output_path(ellipse_path):
@@ -350,18 +360,23 @@ def test_profile_curve_default_output_path(ellipse_path):
 
 
 def test_profile_curve_sweeps_the_pairs_once(ellipse_path, tmp_path, monkeypatch):
-    # count guard, no timing: the summary and the pair table share one sweep
+    # count guard, no timing: the summary and the pair table share one
+    # sweep, whose row ranges tile [0, n - 1) exactly once
     sweeps = []
 
-    def counting(frame):
-        sweeps.append(frame.n)
-        return all_pairs_chord_arc(frame)
+    def counting(frame, i0=0, i1=None):
+        sweeps.append((frame.n, i0, i1))
+        return all_pairs_chord_arc(frame, i0, i1)
 
     for mod in (geometry, comparison, harness):
         if getattr(mod, "all_pairs_chord_arc", None) is all_pairs_chord_arc:
             monkeypatch.setattr(mod, "all_pairs_chord_arc", counting)
     summary, _ = profile_curve(ellipse_path, tmp_path / "pairs.csv")
-    assert sweeps == [512]
+    assert {n for n, _, _ in sweeps} == {512}
+    bounds = [(i0, i1) for _, i0, i1 in sweeps]
+    assert [i0 for i0, _ in bounds] == [0] + [i1 for _, i1 in bounds[:-1]]
+    assert bounds[-1][1] == 511
+    assert all(i0 < i1 for i0, i1 in bounds)
     assert summary.a_bar == pytest.approx(ELL512_ABAR, rel=1e-12)
 
 
@@ -418,6 +433,22 @@ def test_cli_run_exit_one_when_run_fails(capsys):
     assert "termination: curvature-blow-up" in out
 
 
+def test_cli_names_the_checks_an_unnormalized_run_skips(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    argv = ["run", "--kind", "unnormalized", "--n", "64", "--dt", "1e-4"]
+    rc = cli.main([*argv, "--t-end", "0.05", "--outdir", str(outdir)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    skipped = [line for line in out.splitlines() if "skipped" in line]
+    assert skipped == [
+        "checks skipped (they need a normalized run): " + ", ".join(ALL_CHECKS)
+    ]
+    config = json.loads((outdir / "config.json").read_text())
+    assert config["run_spec"]["checks"] == list(ALL_CHECKS)
+    assert config["checks_run"] == []
+    assert not any((outdir / "reports").iterdir())
+
+
 def test_cli_error_contract(fig8_path, capsys):
     rc = cli.main(["run", "--input", str(fig8_path), "--no-persist"])
     captured = capsys.readouterr()
@@ -458,15 +489,14 @@ def test_mistyped_flow_fields_are_config_errors(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_verify_identities(capsys):
+def test_cli_verify_identities(capsys, seed_barrier_fault):
     rc = cli.main(["verify-identities", "--grid-x", "80", "--grid-t", "21"])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("pass") >= 8
 
-    rc = cli.main(
-        ["verify-identities", "--grid-x", "80", "--grid-t", "21", "--_perturb-f", "1e-6"]
-    )
+    seed_barrier_fault(lambda x: 1e-6 * x)
+    rc = cli.main(["verify-identities", "--grid-x", "80", "--grid-t", "21"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
