@@ -14,10 +14,15 @@ import sys
 from csflow.diagnostics import geometric_tolerance
 from csflow.dynamics import FlowConfig
 from csflow.geometry import build_frame, canonical_scale
-from csflow.harness import RunSpec, execute, gen_dumbbell, gen_ellipse, generate
+from csflow.harness import (
+    ALL_CHECKS,
+    RunSpec,
+    execute,
+    gen_dumbbell,
+    gen_ellipse,
+    generate,
+)
 from csflow.comparison import profile
-
-CHECKS = ("distance-comparison", "abar-decay", "curvature-bound", "l2-curvature-bound")
 
 
 def _defaults(generator, *names):
@@ -43,7 +48,7 @@ def main(argv=None) -> int:
     ok = True
     for gen in args.curves.split(","):
         print(f"== {gen} {params.get(gen, {})}")
-        print("     N   tol_geom   " + "  ".join(f"{c:>20}" for c in CHECKS))
+        print("     N   tol_geom   " + "  ".join(f"{c:>20}" for c in ALL_CHECKS))
         for n in sizes:
             spec = RunSpec(
                 generator=gen,
@@ -53,7 +58,7 @@ def main(argv=None) -> int:
             res = execute(spec, persist=False)
             ok = ok and res.passed
             margins = "  ".join(
-                f"{res.reports[c].worst_margin:+20.3e}" for c in CHECKS
+                f"{res.reports[c].worst_margin:+20.3e}" for c in res.checks
             )
             print(f"  {n:4d}   {geometric_tolerance(n):8.2e}   {margins}")
         print()

@@ -159,8 +159,8 @@ def _cmd_run(args) -> int:
 def print_run(result: RunResult) -> None:
     """The lines ``csflow run`` prints for a finished run: how it ended,
     the requested checks it skipped, each report's verdict, the quadrature
-    identity when the convergence check ran, and the run directory when one
-    was written."""
+    identity when the L2 check ran, and the run directory when one was
+    written."""
     print(f"termination: {result.trajectory.termination}")
     final = result.trajectory.final
     print(f"final: t = {final.time:.6g}, steps = {final.step}")
@@ -170,7 +170,7 @@ def print_run(result: RunResult) -> None:
     for name, report in result.reports.items():
         status = "pass" if report.passed else "FAIL"
         print(f"{name}: {status} (worst margin {report.worst_margin:.3e})")
-    if "convergence" in result.checks:
+    if "l2-curvature-bound" in result.checks:
         status = "pass" if identity_holds(result.measures) else "FAIL"
         worst = float(result.measures.identity_residual.max())
         print(f"quadrature-identity: {status} (worst residual {worst:.3e})")

@@ -257,44 +257,38 @@ def a_solve(d, ell):
     return _maybe_scalar(out, scalar)
 
 
-def _psi_table() -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate psi, the inverse of r(z) = arctan(z)/z, for np.interp.
-
-    Abscissae are the logit log(r/(1 - r)) in ascending order, ordinates
-    log z. Both tails are nearly straight in these coordinates (slopes -1/2
-    and -1), so the sinh spacing puts the points where the curve bends,
-    around z = 1; linear interpolation is then good to about 2e-6 in log z.
-    """
-    log_z = 10.0 * np.sinh(np.linspace(math.asinh(-2.0), math.asinh(70.0), 8192))
-    z = np.exp(log_z)
-    atan = np.arctan(z)
-    gap = z - atan  # = z (1 - r); cancels for small z, so use its series
-    small = z < 1e-2
-    zs = z[small]
-    gap[small] = zs**3 * (1.0 / 3.0 - zs**2 * (1.0 / 5.0 - zs**2 / 7.0))
-    logit = np.log(atan) - np.log(gap)
-    return logit[::-1].copy(), log_z[::-1].copy()
-
-
-_PSI_LOGIT, _PSI_LOG_Z = _psi_table()
-
 # Relative slack of the prune test phi(A, u) >= d. Rounding in phi is a few
 # ulp, so a pair whose root lies at or above A may read phi(A, u) below d by
 # about 1e-15 d; this slack keeps such a pair.
 _PRUNE_SLACK = 1e-13
+
+# Relative margin that puts the prune level under the closed-form bound.
+# The bound lies below the exact root, but where a u is near 1e-4 rounding
+# can put the computed root up to about 2e-8 below the bound (see profile).
+_BOUND_MARGIN = 1e-7
+
+
+def _root_lower_bound(d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Closed-form lower bound on the root of phi(a, u) = d, for d < 2u.
+
+    Shafer's inequality arctan z > 3z / (1 + 2 sqrt(1 + z^2)), z > 0, at
+    the root z = a u, where arctan(z)/z = d/2u, solves to
+    a > sqrt(3 (2u - d)(6u + d)) / (2 d u). The bound is tight as z -> 0
+    and within a factor 3/pi of the root as z -> inf.
+    """
+    return np.sqrt(3.0 * (2.0 * u - d) * (6.0 * u + d)) / (2.0 * d * u)
 
 
 class _SupA:
     """Running off-diagonal supremum of a over blocks of pairs fed in order.
 
     :meth:`result` is bit for bit np.argmax, max and np.count_nonzero of
-    a_solve over every pair fed, but roots are solved only for a few
-    pivots and the pairs that survive their prune (see profile).
+    a_solve over every pair fed, but roots are solved, in one call, only
+    for the pairs that survive the prune (see profile).
     """
 
     def __init__(self):
         self.n_active = 0
-        self.best_est = -math.inf  # largest log-estimate solved as a pivot
         self.floor = 0.0  # running prune level A
         self.kept = []  # (flat index, d, u) of the pairs that passed the prune
 
@@ -305,24 +299,19 @@ class _SupA:
         if active.size == 0:
             return
         self.n_active += active.size
-        if self.floor > 0.0:
-            # after the first pivot, only pairs that pass at the level matter
-            active = active[self._passes(d[active], u[active])]
-            if active.size == 0:
-                return
+        # a pair that fails at the level can neither raise it nor be kept
+        active = active[self._passes(d[active], u[active])]
+        if active.size == 0:
+            return
         d_act, u_act = d[active], u[active]
-        # a u = psi(d / 2u), and the logit of d / 2u is log d - log(2u - d)
-        logit = np.log(d_act) - np.log(2.0 * u_act - d_act)
-        log_a_est = np.interp(logit, _PSI_LOGIT, _PSI_LOG_Z) - np.log(u_act)
-        p = int(np.argmax(log_a_est))
-        if log_a_est[p] > self.best_est:
-            self.best_est = log_a_est[p]
-            a_p = _a_root(d_act[p : p + 1], u_act[p : p + 1])[0]
-            self.floor = max(self.floor, a_p * (1.0 - 1e-9))
+        bound = min(float(np.max(_root_lower_bound(d_act, u_act))), A_CAP)
+        self.floor = max(self.floor, bound * (1.0 - _BOUND_MARGIN))
         keep = np.flatnonzero(self._passes(d_act, u_act))
         self.kept.append((start + active[keep], d_act[keep], u_act[keep]))
 
     def _passes(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if self.floor <= 0.0:  # no level yet: every pair passes
+            return np.ones(d.shape, dtype=bool)
         return _phi(self.floor, u) >= d * (1.0 - _PRUNE_SLACK)
 
     def result(self) -> tuple[int, float, int]:
@@ -513,29 +502,36 @@ def profile(
     explicit offset, min Z is reduced in the same sweep; the curve's own
     offset needs a_bar first, so that case sweeps a second time for Z.
 
-    The off-diagonal supremum solves a root for almost no pair. A pair is
-    active when d < 2u, u = sin(l/2); the others have a = 0. Because
-    phi(a, u) = 2 arctan(a u)/a is strictly decreasing in a, a pair's root
-    lies at or above A exactly when phi(A, u) >= d, so one evaluation of phi
-    tells whether a pair can reach A. In each block, the candidates are the
-    active pairs that pass the test at the running level A (all active
-    pairs before the first pivot), and the block's pivot is the candidate
-    with the largest estimate a u = psi(d/2u), psi the inverse of
-    arctan(z)/z read off a fixed table; the estimate only picks pivots. When
-    a pivot's estimate beats every earlier pivot's, its root a_p, solved as
-    a_solve would, raises the level to A = max(A, a_p (1 - 1e-9)). The
-    candidates that pass at that level are kept; at the end they are tested
-    again at the final A and get their roots, in ascending pair order with
-    the same elementwise solver, so ties still go to the first pair.
+    The off-diagonal supremum solves roots in one call, for a few of the
+    pairs. A pair is active when d < 2u, u = sin(l/2); the others have
+    a = 0. Because phi(a, u) = 2 arctan(a u)/a is strictly decreasing in a,
+    a pair's root lies at or above A exactly when phi(A, u) >= d, so one
+    evaluation of phi tells whether a pair can reach A. Each block drops
+    its active pairs that fail at the running level A (their roots, and so
+    their bounds, lie below it), raises the level to
+    A = max(A, min(b, A_CAP) (1 - 1e-7)), b the largest closed-form lower
+    bound on a remaining pair's root (Shafer's inequality, see
+    _root_lower_bound), and keeps the pairs that pass at the new level. At
+    the end the kept pairs are tested again at the final A and get their
+    roots, in ascending pair order with the same elementwise solver as
+    a_solve, so ties still go to the first pair.
 
-    Why no pair that holds the maximum M is dropped: every pivot's computed
-    root is at most M, so A <= M (1 - 1e-9) in every block and at the end.
-    The pair's computed root lies in the solver's final bracket [lo, hi],
-    under 3e-12 wide in log a, and lo is either the analytic lower bound of
-    the root or a point where the computed phi exceeded d. Either way
-    lo > A, so phi(A, u) >= phi(lo, u) >= d up to a few ulp of rounding in
-    phi, which the test's 1e-13 relative slack absorbs. The result therefore
-    equals a_solve over all pairs followed by argmax and count, bit for bit.
+    Why no pair that holds the maximum M is dropped: A never exceeds the
+    computed root of the pair whose bound set it, which is at most M. The
+    bound lies below the exact root. Rounding in phi, a few ulp, moves the
+    computed root off the exact one by that much times arctan(z)/g(z),
+    about 1.5/z^2 for small z = a u; but the solver never returns less than
+    its own lower bracket, the Taylor bound, which lies within 0.3 z^2 of
+    the root. The computed root is therefore at most about 2e-8 below the
+    bound, in relative terms, which the 1e-7 margin covers; a root above
+    A_CAP is computed as A_CAP. So A <= M (1 - 8e-8) in every block and at
+    the end. The maximal pair's computed root lies in the solver's final
+    bracket [lo, hi], under 3e-12 wide in log a, and lo is either the
+    analytic lower bound of the root or a point where the computed phi
+    exceeded d. Either way lo > A, so phi(A, u) >= phi(lo, u) >= d up to a
+    few ulp of rounding in phi, which the test's 1e-13 relative slack
+    absorbs. The result therefore equals a_solve over all pairs followed by
+    argmax and count, bit for bit.
 
     Returns
     -------
@@ -594,7 +590,11 @@ class IdentityReport:
     max_residual: float
     max_violation: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        tol = self.tolerance
+        return self.max_residual <= tol and self.max_violation <= tol
 
     def to_json_dict(self) -> dict:
         def clean(x: float):
@@ -617,7 +617,6 @@ def _report(name, grid, residual, violation, tol) -> IdentityReport:
         max_residual=float(residual),
         max_violation=float(violation),
         tolerance=float(tol),
-        passed=bool(residual <= tol and violation <= tol),
     )
 
 

@@ -176,12 +176,13 @@ def measure(traj: Trajectory, checks: Collection[str] = ()) -> Measures:
 
     The frame columns are always measured. Any check needs the pair
     profiles, which need a normalized trajectory (WrongRunKind otherwise);
-    the "convergence" check also needs the circle columns.
+    the "l2-curvature-bound" check also needs the circle columns.
     """
     snaps = traj.snapshots
     frames = [s.frame for s in snaps]
     profiles = snapshot_profiles(traj) if checks else None
-    fits = [convergence_metrics(f) for f in frames] if "convergence" in checks else None
+    circle = "l2-curvature-bound" in checks
+    fits = [convergence_metrics(f) for f in frames] if circle else None
     unmeasured = [math.nan] * len(snaps)
     cols = {k: np.array([getattr(f, k) for f in frames]) for k in FRAME_COLUMNS}
     for k in PROFILE_COLUMNS:

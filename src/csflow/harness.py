@@ -50,6 +50,7 @@ from .errors import (
 )
 from .geometry import (
     DiscreteCurve,
+    _fmt,
     build_frame,
     canonical_scale,
     is_embedded,
@@ -67,16 +68,12 @@ _CHECKS = {
     "distance-comparison": lambda m: diagnostics.check_distance_comparison(m),
     "abar-decay": lambda m: diagnostics.check_abar_decay(m),
     "curvature-bound": lambda m: diagnostics.check_curvature_bound(m),
-    "convergence": lambda m: diagnostics.check_l2_bound(m),
+    "l2-curvature-bound": lambda m: diagnostics.check_l2_bound(m),
 }
 ALL_CHECKS = tuple(_CHECKS)
 
 _FOURIER_AMPLITUDE = 0.15
 _FOURIER_ATTEMPTS = 100
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _code_version() -> str:
@@ -286,8 +283,8 @@ def execute(spec: RunSpec, persist: bool = True) -> RunResult:
     """Run a spec end to end: curve, flow, measures, checks, persistence.
 
     ``passed`` requires the flow to reach its end time, every check that
-    ran to hold, and, when the convergence check ran, the quadrature
-    identity to hold at every snapshot.
+    ran to hold, and, when the L2 check ran, the quadrature identity to
+    hold at every snapshot.
     """
     initial = materialize_curve(spec)
     traj = run(spec.flow, initial)
@@ -298,7 +295,7 @@ def execute(spec: RunSpec, persist: bool = True) -> RunResult:
     passed = (
         traj.termination == TERM_END
         and all(r.passed for r in reports.values())
-        and ("convergence" not in checks or identity_holds(measures))
+        and ("l2-curvature-bound" not in checks or identity_holds(measures))
     )
 
     result = RunResult(

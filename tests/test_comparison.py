@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from csflow import comparison
 from csflow.comparison import (
+    _BOUND_MARGIN,
     _DIAG_NOISE_FLOOR,
     A_CAP,
     AnalyticEllipse,
@@ -17,6 +18,7 @@ from csflow.comparison import (
     ProfileSummary,
     _SupA,
     _a_root,
+    _root_lower_bound,
     a_diagonal,
     a_solve,
     check_L_dominates,
@@ -655,6 +657,54 @@ def test_profile_solves_roots_for_under_one_percent_of_active_pairs(monkeypatch)
     assert sum(solved) < 0.01 * summary.n_active
 
 
+@given(pairs=chord_arc_arrays())
+@settings(max_examples=300, deadline=None)
+def test_prune_level_lies_below_every_computed_root(pairs):
+    d, ell = pairs
+    u = np.sin(0.5 * ell)
+    active = d < 2.0 * u
+    d, u = d[active], u[active]
+    level = np.minimum(_root_lower_bound(d, u), A_CAP) * (1.0 - _BOUND_MARGIN)
+    assert np.all(level < _a_root(d, u))
+
+
+def test_sup_a_keeps_a_maximum_shared_with_an_ill_conditioned_pair():
+    # both pairs have root 0.5; at the short arc z = a u is about 9e-5,
+    # where rounding in phi leaves the computed root 2.4e-9 below the bound,
+    # which follows the exact root of the stored chord
+    ell = np.array([math.pi, 3.61e-4])
+    d = _pairs_from_roots(np.full(2, 0.5), ell)
+    want = _sup_a_all_roots(d, ell)
+    assert want[0] == 0
+    assert _blocked_sup_a(d, ell) == want
+    assert _blocked_sup_a(d[::-1], ell[::-1]) == (1, *want[1:])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_ellipse(2.0, 1.0, 256),
+        lambda: gen_dumbbell(0.2, 512),
+        lambda: gen_fourier(4, 6, 256),
+    ],
+)
+def test_profile_solves_roots_in_one_call(make, monkeypatch):
+    calls = []
+
+    def counting(d, u):
+        calls.append(d.size)
+        return _a_root(d, u)
+
+    frame = build_frame(canonical_scale(make()))
+    monkeypatch.setattr(comparison, "_a_root", counting)
+    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+        for offset in (None, ComparisonOffset(t_bar=0.4)):
+            calls.clear()
+            assert profile(frame, offset, 0.3).n_active > 0
+            assert len(calls) == 1
+
+
 def test_profile_memory_stays_bounded_at_n_2048():
     # memory guard, no timing: the sweep holds one row block of pairs at a
     # time, where whole-range arrays of 2,096,128 pairs peaked near 150 MiB
@@ -707,6 +757,15 @@ def test_g_positive_and_h_convex_reports():
     assert set(payload) == {
         "name", "grid", "max_residual", "max_violation", "tolerance", "pass",
     }
+
+
+def test_identity_verdict_follows_the_measured_values():
+    report = check_g_positive()
+    assert report.passed and report.to_json_dict()["pass"] is True
+    for field in ("max_residual", "max_violation"):
+        worse = replace(report, **{field: 2.0 * report.tolerance})
+        assert not worse.passed and worse.to_json_dict()["pass"] is False
+        assert not replace(report, **{field: math.nan}).passed
 
 
 def test_taylor_small_separation_limits():

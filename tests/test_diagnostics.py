@@ -375,7 +375,7 @@ def test_checks_reject_unnormalized_runs():
 
 def test_metrics_reject_negative_values():
     circle = canonical_scale(gen_circle(1.0, 64))
-    good = measure(_handmade_trajectory([(0.0, circle)]), ("convergence",))
+    good = measure(_handmade_trajectory([(0.0, circle)]), ("l2-curvature-bound",))
     with pytest.raises(DomainError):
         replace(good, l2_dev=-np.ones(1))
     with pytest.raises(DomainError):

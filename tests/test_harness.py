@@ -236,6 +236,30 @@ def test_execute_wires_results(small_run):
     assert len(small_run.measures.profiles) == len(small_run.trajectory.snapshots)
 
 
+def test_report_names_are_the_check_names(small_run):
+    config = json.loads((small_run.outdir / "config.json").read_text())
+    stems = [p.stem for p in (small_run.outdir / "reports").iterdir()]
+    assert list(small_run.reports) == list(small_run.checks)
+    assert config["checks_run"] == list(small_run.reports)
+    assert config["run_spec"]["checks"] == config["checks_run"]
+    assert sorted(stems) == sorted(config["checks_run"])
+
+
+def test_cli_check_flag_takes_the_report_name(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    argv = ["run", "--n", "64", "--t-end", "0.1", "--outdir", str(outdir)]
+    assert cli.main([*argv, "--check", "l2-curvature-bound"]) == 0
+    out = capsys.readouterr().out
+    assert "l2-curvature-bound: pass" in out
+    assert "quadrature-identity: pass" in out
+    assert [p.name for p in (outdir / "reports").iterdir()] == [
+        "l2-curvature-bound.json"
+    ]
+    with pytest.raises(SystemExit) as exc:  # the old name is gone, no alias
+        cli.main([*argv, "--check", "convergence"])
+    assert exc.value.code == 2
+
+
 def test_execute_without_checks_or_persistence():
     spec = RunSpec(generator="circle", flow=FlowConfig(n=64, t_end=0.05), checks=())
     res = execute(spec, persist=False)
@@ -346,7 +370,7 @@ def test_profile_curve_csv_matches_whole_text_writer(
     _, _, d, ell = all_pairs_chord_arc(frame)
     ell = np.minimum(ell, math.pi)
     a = comparison.a_solve(d, ell)
-    rows = [",".join(harness._fmt(v) for v in row) for row in zip(ell, d, a)]
+    rows = [",".join(geometry._fmt(v) for v in row) for row in zip(ell, d, a)]
     lines = ["l,d,a", *rows]
     assert out_csv.read_text() == "\n".join(lines) + "\n"
     want = comparison.profile(frame)
