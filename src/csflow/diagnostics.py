@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
+import os
+import threading
 from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import ProfileSummary, profile
-from .dynamics import KIND_NORMALIZED, Trajectory
+from .comparison import ComparisonOffset, ProfileSummary, profile
+from .dynamics import KIND_NORMALIZED, Snapshot, Trajectory
 from .errors import DomainError, WrongRunKind
 from .geometry import CurveFrame, cyclic_shift
 
@@ -132,15 +135,71 @@ class Measures:
             raise DomainError("non-positive fitted radius")
 
 
+# Later snapshots holding fewer pairs than this in total are profiled in
+# this process: starting a pool of two costs about 35 ms, the work of
+# about 2^18 pairs at 8 M pairs/s, so the pool only pays well above that.
+POOL_MIN_PAIRS = 1 << 20
+
+# a worker's (later snapshots, head offset), inherited through fork when
+# the worker starts, so a task is just an index; never set in the caller
+_pool_job: tuple[list[Snapshot], ComparisonOffset] | None = None
+
+
+def _start_worker(rest: list[Snapshot], offset: ComparisonOffset) -> None:
+    global _pool_job
+    _pool_job = (rest, offset)
+
+
+def _profile_later(i: int) -> ProfileSummary:
+    snaps, offset = _pool_job
+    return profile(snaps[i].frame, offset=offset, t=snaps[i].time)
+
+
+def _pool_size(rest: list[Snapshot]) -> int:
+    """Workers to profile ``rest`` with; below 2 means serially.
+
+    A forked child holds only the forking thread, so a lock that another
+    thread held stays held in the child: with other threads running, stay
+    serial.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    pairs = sum(s.curve.n * (s.curve.n - 1) // 2 for s in rest)
+    if pairs < POOL_MIN_PAIRS:
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(rest))
+
+
 def snapshot_profiles(traj: Trajectory) -> list[ProfileSummary]:
     """Pair profiles of every snapshot, one profile each, with Z evaluated
     against the offset frozen at the first snapshot (the first snapshot's
-    own). The dominant cost of all bound checks."""
+    own). The dominant cost of all bound checks.
+
+    The later snapshots are profiled in a forked pool across the usable
+    cores, when there are several, no other thread runs and the snapshots
+    hold enough pairs to repay the pool's start; otherwise, and as the
+    oracle of the pool, one after another.
+    Either way the results come in snapshot order, and an error is that of
+    the earliest failing snapshot.
+    """
     if traj.kind != KIND_NORMALIZED:
         raise WrongRunKind("profiles need a normalized trajectory", kind=traj.kind)
     first, *rest = traj.snapshots
     head = profile(first.frame, t=first.time)
-    return [head] + [profile(s.frame, offset=head.offset, t=s.time) for s in rest]
+    workers = _pool_size(rest)
+    if workers < 2:
+        return [head] + [profile(s.frame, offset=head.offset, t=s.time) for s in rest]
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_start_worker, initargs=(rest, head.offset)
+    )
+    try:
+        later = list(pool.imap(_profile_later, range(len(rest)), chunksize=4))
+    finally:
+        pool.terminate()
+        pool.join()
+    return [head] + later
 
 
 def convergence_metrics(frame: CurveFrame) -> dict[str, float]:

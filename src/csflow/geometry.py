@@ -114,14 +114,6 @@ class DiscreteCurve:
     def n(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def signed_area(self) -> float:
-        return signed_area(self.vertices)
-
-    @property
-    def positively_oriented(self) -> bool:
-        return self.signed_area > 0.0
-
 
 @dataclass(frozen=True)
 class CurveFrame:
@@ -425,8 +417,9 @@ def save_curve(curve: DiscreteCurve, path: str | Path) -> None:
     """
     path = Path(path)
     if path.suffix == ".json":
+        # "%.17g" formats a float exactly as _fmt does
         rows = ",\n    ".join(
-            f"[{_fmt(x)}, {_fmt(y)}]" for x, y in curve.vertices
+            "[%.17g, %.17g]" % tuple(row) for row in curve.vertices.tolist()
         )
         name_part = f',\n  "name": {json.dumps(curve.name)}' if curve.name else ""
         text = f'{{\n  "vertices": [\n    {rows}\n  ]{name_part}\n}}\n'

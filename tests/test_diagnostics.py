@@ -2,6 +2,10 @@
 
 import logging
 import math
+import multiprocessing
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -171,6 +175,124 @@ def test_execute_profiles_each_snapshot_once(monkeypatch):
     snaps = res.trajectory.snapshots
     assert len(calls) == len(snaps) == len(res.measures.profiles)
     assert [id(f) for f in calls] == [id(s.frame) for s in snaps]
+
+
+# -- the forked profile pool -------------------------------------------------------
+
+
+def _flow(gen, params, n=64, t_end=0.3) -> Trajectory:
+    spec = RunSpec(
+        generator=gen, params=params, flow=FlowConfig(n=n, t_end=t_end), checks=()
+    )
+    return execute(spec, persist=False).trajectory
+
+
+POOL_CURVES = {
+    "dumbbell": ("dumbbell", {"neck": 0.2}),
+    "ellipse": ("ellipse", {"a": 2.0, "b": 1.0}),
+    "fourier": ("fourier", {"seed": 3}),
+    "circle": ("circle", {}),
+}
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Send any input through the pool, with two workers even on one core;
+    the list records each pool's worker count as it starts."""
+    ctx = multiprocessing.get_context("fork")
+    starts = []
+
+    def counting_pool(processes, **kwargs):
+        starts.append(processes)
+        return type(ctx).Pool(ctx, processes, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "POOL_MIN_PAIRS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(ctx, "Pool", counting_pool)
+    return starts
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a profile pool was started")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", refuse)
+
+
+@pytest.mark.parametrize("curve", list(POOL_CURVES))
+def test_pool_profiles_equal_serial_profiles(curve, monkeypatch, pool_starts):
+    traj = _flow(*POOL_CURVES[curve])
+    with monkeypatch.context() as serial:
+        serial.setattr(diagnostics, "POOL_MIN_PAIRS", math.inf)
+        oracle = snapshot_profiles(traj)
+    assert pool_starts == []
+    pooled = snapshot_profiles(traj)
+    assert pool_starts == [2]
+    assert pooled == oracle
+    assert len(pooled) == len(traj.snapshots)
+    if curve == "circle":
+        assert all(p.t_bar == -math.inf and p.round_circle for p in pooled)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_raises_the_earliest_failing_snapshot(monkeypatch, pool_starts):
+    traj = _flow("ellipse", {"a": 2.0, "b": 1.0})
+    times = traj.times
+    slow, fast = times[3], times[10]  # in the first and third task chunks
+
+    def failing(frame, *args, t, **kwargs):
+        if t == slow:
+            time.sleep(0.3)  # lets the later failure finish first
+        if t in (slow, fast):
+            raise DomainError("seeded profile failure", time=t, pair=(1, 2))
+        return profile(frame, *args, t=t, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "profile", failing)
+    with monkeypatch.context() as serial:
+        serial.setattr(diagnostics, "POOL_MIN_PAIRS", math.inf)
+        with pytest.raises(DomainError) as serial_exc:
+            snapshot_profiles(traj)
+    with pytest.raises(DomainError) as pool_exc:
+        snapshot_profiles(traj)
+    assert pool_starts == [2]
+    want, got = serial_exc.value, pool_exc.value
+    assert type(got) is type(want)
+    assert (got.kind, got.message, got.context) == (want.kind, want.message, want.context)
+    assert got.context == {"time": slow, "pair": (1, 2)}
+    assert multiprocessing.active_children() == []
+
+
+def test_one_usable_core_profiles_serially(monkeypatch, no_pool):
+    traj = _flow("dumbbell", {"neck": 0.2})
+    oracle = snapshot_profiles(traj)
+    monkeypatch.setattr(diagnostics, "POOL_MIN_PAIRS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert snapshot_profiles(traj) == oracle
+
+
+def test_other_threads_keep_the_profiles_serial(monkeypatch, no_pool):
+    traj = _flow("dumbbell", {"neck": 0.2})
+    oracle = snapshot_profiles(traj)
+    monkeypatch.setattr(diagnostics, "POOL_MIN_PAIRS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60.0,))
+    other.start()
+    try:
+        assert snapshot_profiles(traj) == oracle
+    finally:
+        release.set()
+        other.join(timeout=60.0)
+    assert not other.is_alive()
+
+
+def test_work_below_the_cutoff_profiles_serially(monkeypatch, no_pool):
+    traj = _flow("dumbbell", {"neck": 0.2})
+    rest = traj.snapshots[1:]
+    assert sum(s.curve.n * (s.curve.n - 1) // 2 for s in rest) < diagnostics.POOL_MIN_PAIRS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert len(snapshot_profiles(traj)) == len(traj.snapshots)
 
 
 def test_geometric_tolerance_tracks_mesh(circle_run):

@@ -1,5 +1,7 @@
 """Discrete curve representation, frames, chord/arc queries, and file I/O."""
 
+import itertools
+import json
 import math
 from unittest import mock
 
@@ -63,8 +65,7 @@ def figure_eight(n=64):
 def test_from_vertices_reverses_clockwise_input():
     cw = circle(32).vertices[::-1]
     curve = DiscreteCurve.from_vertices(cw)
-    assert curve.positively_oriented
-    assert curve.signed_area > 0.0
+    assert geometry.signed_area(curve.vertices) > 0.0
     # same point set, opposite traversal
     assert np.allclose(np.sort(curve.vertices[:, 0]), np.sort(cw[:, 0]))
 
@@ -475,6 +476,24 @@ def test_save_load_round_trip_is_exact(tmp_path, ext):
     assert back.name == ("ell40" if ext == "json" else "curve")
 
 
+def _json_text_per_vertex(curve: DiscreteCurve) -> str:
+    """save_curve's JSON text as first written, two _fmt calls per vertex."""
+    rows = ",\n    ".join(
+        f"[{geometry._fmt(x)}, {geometry._fmt(y)}]" for x, y in curve.vertices
+    )
+    name_part = f',\n  "name": {json.dumps(curve.name)}' if curve.name else ""
+    return f'{{\n  "vertices": [\n    {rows}\n  ]{name_part}\n}}\n'
+
+
+@pytest.mark.parametrize("name", [None, 'neck "0.2"'])
+def test_json_writer_matches_per_vertex_writer_byte_for_byte(tmp_path, name):
+    values = [-0.0, 5e-324, 1e300, -1e300, math.pi, -math.pi]
+    curve = DiscreteCurve(np.array(list(itertools.product(values, values))), name=name)
+    path = tmp_path / "curve.json"
+    save_curve(curve, path)
+    assert path.read_bytes() == _json_text_per_vertex(curve).encode()
+
+
 def test_load_rejects_malformed_files(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(CurveFormatError):
@@ -498,4 +517,4 @@ def test_load_rejects_malformed_files(tmp_path):
 def test_loaded_clockwise_csv_is_reoriented(tmp_path):
     path = tmp_path / "cw.csv"
     save_curve(DiscreteCurve(circle(32).vertices[::-1].copy()), path)
-    assert load_curve(path).positively_oriented
+    assert geometry.signed_area(load_curve(path).vertices) > 0.0
