@@ -193,7 +193,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_profile(args) -> int:
     summary, out_csv = profile_curve(args.input, args.out)
-    if summary.round_circle:
+    if summary.a_bar == 0.0:
         print("a_bar = 0 (round-circle: every chord at or above 2 sin(l/2))")
         print("t_bar = -inf")
     else:

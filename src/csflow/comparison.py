@@ -11,6 +11,8 @@ vanishes exactly when the chord is at least the round-circle chord
 2 sin(l/2), and its supremum over all pairs of a curve (including the
 diagonal limit sqrt(max(k^2 - 1, 0) / 2)) gives the time offset
 t_bar = log a_bar. The comparison functional is Z = d - f(l, t - t_bar).
+The round circle, a_bar = 0, is not a separate case: its t_bar = -inf, and
+the same Z reads d - f(l, +inf) = d - 2 sin(l/2).
 
 The check_* functions sweep the closed-form identities and inequalities this
 construction rests on (the linearized operator annihilating f, convexity of
@@ -58,18 +60,14 @@ def _validate_x(x: np.ndarray) -> None:
         )
 
 
-def _uz(x, t, u=None):
-    """Common pieces sin(x/2) and z = e^{-t} sin(x/2), overflow-hardened.
-
-    ``u``, when given, is sin(x/2) already computed by the caller.
-    """
+def _uz(x, t):
+    """Common pieces sin(x/2) and z = e^{-t} sin(x/2), overflow-hardened."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     _validate_x(x)
     if not np.all(np.isfinite(t)):
         raise DomainError("time argument must be finite")
-    if u is None:
-        u = np.sin(0.5 * x)
+    u = np.sin(0.5 * x)
     with np.errstate(over="ignore"):
         z = np.exp(-t) * u
     # e^{-t} may overflow where u == 0; the product is 0 there
@@ -95,15 +93,14 @@ def f_eval(x, t):
     float or ndarray
     """
     scalar = np.isscalar(x) and np.isscalar(t)
-    return _maybe_scalar(np.asarray(_f_u(x, t)), scalar)
+    u, z = _uz(x, t)
+    return _maybe_scalar(np.asarray(2.0 * u * _arctan_ratio(z)), scalar)
 
 
-def _f_u(x, t, u=None):
-    """f(x, t) as an array, reusing u = sin(x/2) when the caller has it."""
-    u, z = _uz(x, t, u)
+def _arctan_ratio(z):
+    """arctan(z)/z for z >= 0, with its limit 1 at z = 0."""
     safe = np.where(z > 0.0, z, 1.0)
-    ratio = np.where(z > 0.0, np.arctan(safe) / safe, 1.0)
-    return 2.0 * u * ratio
+    return np.where(z > 0.0, np.arctan(safe) / safe, 1.0)
 
 
 def f_x(x, t):
@@ -334,44 +331,10 @@ def a_diagonal(k):
 
 
 @dataclass(frozen=True)
-class ComparisonOffset:
-    """The time offset t_bar = log(sup a) of a curve.
-
-    ``round_circle`` marks the degenerate sup a = 0 (every chord at or above
-    the round-circle chord); the comparison then reads d >= 2 sin(l/2) and
-    t_bar is -inf.
-    """
-
-    t_bar: float
-    round_circle: bool = False
-
-    def __post_init__(self):
-        if not self.round_circle and not math.isfinite(self.t_bar):
-            raise DomainError("offset must be finite unless flagged round")
-
-    @classmethod
-    def from_a_bar(cls, a_bar: float) -> "ComparisonOffset":
-        if a_bar <= 0.0:
-            return cls(t_bar=-math.inf, round_circle=True)
-        return cls(t_bar=math.log(a_bar))
-
-
-def z_eval(d, ell, t, offset: ComparisonOffset):
-    """Comparison functional Z = d - f(ell, t - t_bar) (>= 0 when the
-    comparison holds). In the round-circle case Z = d - 2 sin(ell/2)."""
-    if offset.round_circle:
-        scalar = np.isscalar(d) and np.isscalar(ell)
-        out = np.asarray(d, dtype=float) - 2.0 * np.sin(
-            0.5 * np.asarray(ell, dtype=float)
-        )
-        return _maybe_scalar(out, scalar)
-    return np.asarray(d) - f_eval(ell, t - offset.t_bar)
-
-
-@dataclass(frozen=True)
 class ProfileSummary:
     """Supremal ratio of one curve and where it is attained.
 
+    ``t_bar`` is log(a_bar), and -inf for the round circle's a_bar = 0.
     ``attained`` is a vertex pair (i, j), with i == j when the diagonal
     family wins. ``min_z`` and ``min_z_pair`` are left unset by
     :func:`ratio_table`, which does not evaluate Z.
@@ -379,18 +342,12 @@ class ProfileSummary:
 
     a_bar: float
     t_bar: float
-    round_circle: bool
     attained: tuple[int, int]
     diagonal_max: float
     offdiagonal_max: float
     n_active: int
-    saturated: bool
     min_z: float | None = None
     min_z_pair: tuple[int, int] | None = None
-
-    @property
-    def offset(self) -> ComparisonOffset:
-        return ComparisonOffset(t_bar=self.t_bar, round_circle=self.round_circle)
 
 
 # Pairs per row block of the profile sweep: small enough that a block's
@@ -440,19 +397,28 @@ def _pair_blocks(frame: CurveFrame):
         i0 = i1
 
 
-def _fold_min_z(best, block, t: float, offset: ComparisonOffset):
+def _decay(t: float, t_bar: float):
+    """e^{-(t - t_bar)}, the factor that turns each pair's u = sin(l/2) into
+    the z of its Z; 0 at t_bar = -inf."""
+    if not math.isfinite(t) or math.isnan(t_bar) or t_bar == math.inf:
+        raise DomainError(
+            "Z needs a finite time and an offset t_bar below +inf", t=t, t_bar=t_bar
+        )
+    with np.errstate(over="ignore"):
+        return np.exp(-np.asarray(t - t_bar))
+
+
+def _fold_min_z(best, block, e):
     """Running (min Z, pair) after one block; ties go to the first pair.
 
-    Z is z_eval's value bit for bit, from the block's own u.
+    Z = d - f(l, t - t_bar) = d - 2u arctan(z)/z, z = e u, from the block's
+    own u; e = 0 gives the round circle's Z = d - 2u, bit for bit.
     """
-    _, i_idx, j_idx, d, ell, u = block
-    if offset.round_circle:
-        z = d - 2.0 * u
-    else:
-        z = d - _f_u(ell, t - offset.t_bar, u)
-    k = int(np.argmin(z))
-    if z[k] < best[0]:
-        return float(z[k]), (int(i_idx[k]), int(j_idx[k]))
+    _, i_idx, j_idx, d, _, u = block
+    z_cmp = d - 2.0 * u * _arctan_ratio(e * u)
+    k = int(np.argmin(z_cmp))
+    if z_cmp[k] < best[0]:
+        return float(z_cmp[k]), (int(i_idx[k]), int(j_idx[k]))
     return best
 
 
@@ -472,30 +438,27 @@ def _summary(frame, pair_off, off_max, n_active) -> ProfileSummary:
     else:
         a_bar, attained = off_max, pair_off
 
-    own = ComparisonOffset.from_a_bar(a_bar)
     return ProfileSummary(
         a_bar=a_bar,
-        t_bar=own.t_bar,
-        round_circle=own.round_circle,
+        t_bar=math.log(a_bar) if a_bar > 0.0 else -math.inf,
         attained=attained,
         diagonal_max=diag_max,
         offdiagonal_max=off_max,
         n_active=n_active,
-        saturated=bool(a_bar >= 0.999 * A_CAP),
     )
 
 
 def profile(
     frame: CurveFrame,
-    offset: ComparisonOffset | None = None,
+    t_bar: float | None = None,
     t: float = 0.0,
 ) -> ProfileSummary:
     """Supremum of the ratio a over all vertex pairs and diagonal values, and
     the minimum of Z over all pairs at time ``t``.
 
     The frame must come from an embedded curve scaled to length 2*pi. Z is
-    evaluated against ``offset``, or against the curve's own offset when
-    none is given.
+    evaluated against the offset ``t_bar``, a real number or -inf, or
+    against the curve's own offset when none is given. ``t`` must be finite.
 
     The pairs are swept once, in row blocks of about _BLOCK_PAIRS pairs, so
     memory stays O(N + block) and each block's arrays stay in cache. With an
@@ -538,18 +501,20 @@ def profile(
     ProfileSummary
     """
     _require_canonical(frame)
+    e = None if t_bar is None else _decay(t, t_bar)
     sup = _SupA()
     best_z = (math.inf, None)
     for block in _pair_blocks(frame):
         start, _, _, d, _, u = block
         sup.add(start, d, u)
-        if offset is not None:
-            best_z = _fold_min_z(best_z, block, t, offset)
+        if e is not None:
+            best_z = _fold_min_z(best_z, block, e)
     im, off_max, n_active = sup.result()
     summary = _summary(frame, _pair_at(frame.n, im), off_max, n_active)
-    if offset is None:
+    if e is None:
+        e = _decay(t, summary.t_bar)
         for block in _pair_blocks(frame):
-            best_z = _fold_min_z(best_z, block, t, summary.offset)
+            best_z = _fold_min_z(best_z, block, e)
     return replace(summary, min_z=best_z[0], min_z_pair=best_z[1])
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import ComparisonOffset, ProfileSummary, profile
+from .comparison import ProfileSummary, profile
 from .dynamics import KIND_NORMALIZED, Snapshot, Trajectory
 from .errors import DomainError, WrongRunKind
 from .geometry import CurveFrame, cyclic_shift
@@ -140,19 +140,19 @@ class Measures:
 # about 2^18 pairs at 8 M pairs/s, so the pool only pays well above that.
 POOL_MIN_PAIRS = 1 << 20
 
-# a worker's (later snapshots, head offset), inherited through fork when
-# the worker starts, so a task is just an index; never set in the caller
-_pool_job: tuple[list[Snapshot], ComparisonOffset] | None = None
+# a worker's (later snapshots, head offset t_bar), inherited through fork
+# when the worker starts, so a task is just an index; never set in the caller
+_pool_job: tuple[list[Snapshot], float] | None = None
 
 
-def _start_worker(rest: list[Snapshot], offset: ComparisonOffset) -> None:
+def _start_worker(rest: list[Snapshot], t_bar: float) -> None:
     global _pool_job
-    _pool_job = (rest, offset)
+    _pool_job = (rest, t_bar)
 
 
 def _profile_later(i: int) -> ProfileSummary:
-    snaps, offset = _pool_job
-    return profile(snaps[i].frame, offset=offset, t=snaps[i].time)
+    snaps, t_bar = _pool_job
+    return profile(snaps[i].frame, t_bar=t_bar, t=snaps[i].time)
 
 
 def _pool_size(rest: list[Snapshot]) -> int:
@@ -190,9 +190,9 @@ def snapshot_profiles(traj: Trajectory) -> list[ProfileSummary]:
     head = profile(first.frame, t=first.time)
     workers = _pool_size(rest)
     if workers < 2:
-        return [head] + [profile(s.frame, offset=head.offset, t=s.time) for s in rest]
+        return [head] + [profile(s.frame, t_bar=head.t_bar, t=s.time) for s in rest]
     pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_start_worker, initargs=(rest, head.offset)
+        workers, initializer=_start_worker, initargs=(rest, head.t_bar)
     )
     try:
         later = list(pool.imap(_profile_later, range(len(rest)), chunksize=4))

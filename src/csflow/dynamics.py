@@ -10,8 +10,8 @@ stability restriction.
 
 A run records full snapshots at a configurable cadence plus a dense
 per-step scalar series (time, length, k_max, <k^2>); the change-of-variables
-maps between the two flows integrate over the dense series when available,
-falling back to the snapshot grid for trajectories rebuilt from disk.
+maps between the two flows integrate over the dense series, which every
+trajectory they take must carry.
 """
 
 from __future__ import annotations
@@ -435,28 +435,17 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
 
 # -- change of variables between the flows ------------------------------------
 
-def _scalar_grid(traj: Trajectory):
-    """Quadrature grid: dense per-step series if recorded, else snapshots."""
-    if traj.dense is not None:
-        d = traj.dense
-        return d.time, d.length, d.k_max, d.avg_k2
-    time = traj.times
-    length = np.array([s.frame.length for s in traj.snapshots])
-    k_max = np.array([s.frame.k_max for s in traj.snapshots])
-    avg_k2 = np.array([s.frame.avg_k2 for s in traj.snapshots])
-    return time, length, k_max, avg_k2
-
-
 def normalize_trajectory(unnorm: Trajectory) -> tuple[Trajectory, ClockMap]:
     """Rescale an un-normalized run to length 2*pi and reparametrize time.
 
     Applies F = (2*pi/L) F-tilde snapshot-wise and t(tau) as the trapezoidal
-    integral of (2*pi/L)^2; returns the normalized trajectory together with
-    the sampled clock map.
+    integral of (2*pi/L)^2 over the run's dense series; returns the
+    normalized trajectory together with the sampled clock map.
     """
     if unnorm.kind != KIND_UNNORMALIZED:
         raise WrongRunKind("normalize_trajectory needs an un-normalized run")
-    tau, length, k_max, avg_k2 = _scalar_grid(unnorm)
+    d = unnorm.dense
+    tau, length, k_max, avg_k2 = d.time, d.length, d.k_max, d.avg_k2
     integrand = (TWO_PI / length) ** 2
     t = cumulative_trapezoid(integrand, tau, initial=0.0)
     lam = length / TWO_PI
@@ -485,14 +474,15 @@ def recover_unnormalized(norm: Trajectory, L0: float) -> tuple[Trajectory, Clock
     normalized run and its initial length.
 
     Uses lam(t) = (L0/2*pi) exp(-int <k^2> dt') and tau = int lam^2 dt'
-    (trapezoidal, on the densest recorded grid), then scales each snapshot
+    (trapezoidal, on the run's dense series), then scales each snapshot
     by lam at its time stamp.
     """
     if norm.kind != KIND_NORMALIZED:
         raise WrongRunKind("recover_unnormalized needs a normalized run")
     if L0 <= 0.0:
         raise DomainError(f"initial length must be positive, got {L0}")
-    t, _, k_max, avg_k2 = _scalar_grid(norm)
+    d = norm.dense
+    t, k_max, avg_k2 = d.time, d.k_max, d.avg_k2
     integral = cumulative_trapezoid(avg_k2, t, initial=0.0)
     lam = (L0 / TWO_PI) * np.exp(-integral)
     tau = cumulative_trapezoid(lam**2, t, initial=0.0)

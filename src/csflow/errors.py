@@ -25,10 +25,6 @@ class DegenerateCurve(CsflowError):
     kind = "DegenerateCurve"
 
 
-class InvalidPair(CsflowError):
-    kind = "InvalidPair"
-
-
 class ResampleFailure(CsflowError):
     kind = "ResampleFailure"
 

@@ -27,12 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CurveFormatError,
-    DegenerateCurve,
-    InvalidPair,
-    ResampleFailure,
-)
+from .errors import CurveFormatError, DegenerateCurve, ResampleFailure
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,9 +99,16 @@ class DiscreteCurve:
 
     @classmethod
     def from_vertices(cls, vertices, name: str | None = None) -> "DiscreteCurve":
-        """Build a curve, reversing the vertex order if input is clockwise."""
+        """Build a curve, reversing the vertex order if input is clockwise.
+
+        The orientation is the sign of the shoelace sum of the vertices
+        scaled by a power of two into [-1, 1]: the scaling is exact, so the
+        sign is that of the unscaled sum wherever that is finite, and
+        coordinates near the float range cannot overflow it to NaN.
+        """
         arr = _as_vertex_array(vertices)
-        if signed_area(arr) < 0.0:
+        _, exponent = np.frexp(np.max(np.abs(arr), initial=0.0))
+        if signed_area(np.ldexp(arr, -exponent)) < 0.0:
             arr = arr[::-1]
         return cls(arr, name=name)
 
@@ -332,28 +334,6 @@ def _is_embedded_all_pairs(curve: DiscreteCurve, tol: float = EMBED_TOL) -> bool
     ii, jj = np.triu_indices(n, k=2)
     keep = ~((ii == 0) & (jj == n - 1))  # edges 0 and N-1 share vertex 0
     return not _any_cross(v, edges_to, ii[keep], jj[keep], abs_tol)
-
-
-def chord_arc(frame: CurveFrame, i: int, j: int):
-    """Chord length, shorter arc length, unit chord direction, opening angle.
-
-    Returns ``(d, ell, w, theta)`` for the vertex pair ``(i, j)`` where ``w``
-    points from vertex i to vertex j and ``theta`` is the angle between the
-    tangents at i and j, in [0, pi].
-    """
-    n = frame.n
-    if i == j:
-        raise InvalidPair("chord_arc requires two distinct vertices", i=i, j=j)
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidPair("vertex index out of range", i=i, j=j, n=n)
-    diff = frame.vertices[j] - frame.vertices[i]
-    d = float(np.hypot(diff[0], diff[1]))
-    arc = abs(frame.arclength[j] - frame.arclength[i])
-    ell = float(min(arc, frame.length - arc))
-    w = diff / d
-    dot = float(np.clip(np.dot(frame.tangents[i], frame.tangents[j]), -1.0, 1.0))
-    theta = math.acos(dot)
-    return d, ell, (float(w[0]), float(w[1])), theta
 
 
 def all_pairs_chord_arc(frame: CurveFrame, i0: int = 0, i1: int | None = None):

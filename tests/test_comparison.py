@@ -14,7 +14,6 @@ from csflow.comparison import (
     _DIAG_NOISE_FLOOR,
     A_CAP,
     AnalyticEllipse,
-    ComparisonOffset,
     ProfileSummary,
     _SupA,
     _a_root,
@@ -35,7 +34,6 @@ from csflow.comparison import (
     h_second,
     profile,
     ratio_table,
-    z_eval,
 )
 from csflow.errors import DomainError
 from csflow.geometry import all_pairs_chord_arc, build_frame, canonical_scale
@@ -106,8 +104,6 @@ def test_domain_rejection():
         a_solve(1.0, 0.9)  # chord exceeds arc
     with pytest.raises(DomainError):
         a_solve(1.0, 3.5)  # arc beyond pi
-    with pytest.raises(DomainError):
-        ComparisonOffset(t_bar=-math.inf)  # -inf only via round_circle
 
 
 # -- derivatives against finite differences -----------------------------------
@@ -239,23 +235,40 @@ def test_a_diagonal_values():
 # -- offsets and the comparison functional -------------------------------------
 
 
-def test_offset_round_trip():
-    off = ComparisonOffset.from_a_bar(math.exp(2.0))
-    assert off.t_bar == pytest.approx(2.0, rel=1e-15)
-    assert not off.round_circle
-    round_off = ComparisonOffset.from_a_bar(0.0)
-    assert round_off.round_circle and round_off.t_bar == -math.inf
+def z_eval(d, ell, t, t_bar):
+    """Oracle of the comparison functional Z = d - f(ell, t - t_bar); at the
+    round circle's t_bar = -inf, f(ell, +inf) = 2 sin(ell/2)."""
+    if t_bar == -math.inf:
+        return d - 2.0 * np.sin(0.5 * ell)
+    return d - f_eval(ell, t - t_bar)
+
+
+def _min_z(d, ell, t, t_bar):
+    """min Z and its pair index from the profile's fold, over one block."""
+    u = np.sin(0.5 * ell)
+    flat = np.arange(d.size)
+    block = (0, flat, flat, d, ell, u)
+    return comparison._fold_min_z((math.inf, None), block, comparison._decay(t, t_bar))
 
 
 def test_z_eval_round_circle_branch():
-    off = ComparisonOffset.from_a_bar(0.0)
-    # on the round branch Z = d - 2 sin(l/2), independent of t
-    assert z_eval(1.0, math.pi, 5.0, off) == pytest.approx(1.0 - 2.0, rel=1e-15)
-    assert z_eval(1.0, math.pi, -5.0, off) == z_eval(1.0, math.pi, 5.0, off)
-    gen = ComparisonOffset.from_a_bar(1.0)  # t_bar = 0
-    assert z_eval(1.5, math.pi, 0.0, gen) == pytest.approx(
-        1.5 - math.pi / 2, rel=1e-14
-    )
+    # at t_bar = -inf, Z = d - 2 sin(l/2), independent of t
+    d, ell = np.array([1.0]), np.array([math.pi])
+    assert z_eval(d, ell, 5.0, -math.inf)[0] == pytest.approx(1.0 - 2.0, rel=1e-15)
+    for t in (-5.0, 0.0, 5.0):
+        assert _min_z(d, ell, t, -math.inf) == (1.0 - 2.0, (0, 0))
+    # t_bar = 0: Z = 1.5 - 2 arctan(1)
+    d = np.array([1.5])
+    assert z_eval(d, ell, 0.0, 0.0)[0] == pytest.approx(1.5 - math.pi / 2, rel=1e-14)
+    assert _min_z(d, ell, 0.0, 0.0)[0] == pytest.approx(1.5 - math.pi / 2, rel=1e-14)
+
+
+def test_profile_rejects_a_nan_or_plus_inf_offset():
+    frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 64)))
+    for t_bar, t in ((math.nan, 0.0), (math.inf, 0.0), (0.4, math.nan), (0.4, math.inf)):
+        with pytest.raises(DomainError):
+            profile(frame, t_bar=t_bar, t=t)
+    assert math.isfinite(profile(frame, t_bar=-math.inf, t=0.0).min_z)
 
 
 # -- whole-curve profiles -------------------------------------------------------
@@ -265,7 +278,6 @@ def test_z_eval_round_circle_branch():
 def test_circle_profiles_to_exactly_zero(n):
     summary = profile(build_frame(canonical_scale(gen_circle(1.0, n))))
     assert summary.a_bar == 0.0
-    assert summary.round_circle
     assert summary.t_bar == -math.inf
     assert summary.n_active == 0
 
@@ -277,7 +289,6 @@ def test_ellipse_profile_matches_frozen_sweep():
     assert summary.attained[0] == summary.attained[1]  # diagonal family wins
     assert summary.t_bar == pytest.approx(math.log(ELL512_ABAR), rel=1e-12)
     assert summary.offdiagonal_max < summary.a_bar
-    assert not summary.saturated and not summary.round_circle
 
 
 def test_dumbbell_profile_attained_across_neck():
@@ -303,7 +314,7 @@ def test_profile_requires_canonical_length():
 def test_profile_z_against_own_offset_is_nonnegative():
     frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 256)))
     base = profile(frame)
-    again = profile(frame, offset=base.offset, t=0.0)
+    again = profile(frame, t_bar=base.t_bar, t=0.0)
     assert again.min_z is not None and again.min_z_pair is not None
     # the offset was built from this very curve, so Z >= 0 with equality
     # approached at the attaining pair
@@ -323,7 +334,7 @@ def test_profile_without_offset_uses_own_offset(make):
     frame = build_frame(canonical_scale(make()))
     for t in (0.0, 0.7):
         base = profile(frame, t=t)
-        again = profile(frame, offset=base.offset, t=t)
+        again = profile(frame, t_bar=base.t_bar, t=t)
         assert again == base  # min_z and min_z_pair too, bit for bit
 
 
@@ -407,7 +418,7 @@ def _blocked_sup_a(d, ell, cuts=()):
     return sup.result()
 
 
-def _profile_all_roots(frame, offset=None, t=0.0):
+def _profile_all_roots(frame, t_bar=None, t=0.0):
     """The whole profile from one whole-range sweep: a_solve on every pair,
     argmax and count, the diagonal family, and z_eval with argmin."""
     i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
@@ -420,18 +431,16 @@ def _profile_all_roots(frame, offset=None, t=0.0):
         a_bar, attained = float(a_diag[i_diag]), (i_diag, i_diag)
     else:
         a_bar, attained = off_max, (int(i_idx[im]), int(j_idx[im]))
-    own = ComparisonOffset.from_a_bar(a_bar)
-    z = z_eval(d, ell, t, own if offset is None else offset)
+    own = math.log(a_bar) if a_bar > 0.0 else -math.inf
+    z = z_eval(d, ell, t, own if t_bar is None else t_bar)
     iz = int(np.argmin(z))
     return ProfileSummary(
         a_bar=a_bar,
-        t_bar=own.t_bar,
-        round_circle=own.round_circle,
+        t_bar=own,
         attained=attained,
         diagonal_max=float(a_diag[i_diag]),
         offdiagonal_max=off_max,
         n_active=n_active,
-        saturated=bool(a_bar >= 0.999 * A_CAP),
         min_z=float(z[iz]),
         min_z_pair=(int(i_idx[iz]), int(j_idx[iz])),
     )
@@ -511,20 +520,20 @@ def test_blocked_min_z_matches_z_eval_bit_for_bit(pairs, t):
     d, ell, cuts = pairs
     if d.size == 0:
         return
-    offset = ComparisonOffset(t_bar=0.3)
     if cuts:  # a tie at the minimum on both sides of the first boundary
-        low = int(np.argmin(z_eval(d, ell, t, offset)))
+        low = int(np.argmin(z_eval(d, ell, t, 0.3)))
         d[[cuts[0] - 1, cuts[0]]], ell[[cuts[0] - 1, cuts[0]]] = d[low], ell[low]
     flat = np.arange(d.size)
-    for off in (offset, ComparisonOffset(t_bar=-math.inf, round_circle=True)):
-        z = z_eval(d, ell, t, off)
+    for t_bar in (0.3, -math.inf):
+        z = z_eval(d, ell, t, t_bar)
         want = float(z.min()), (int(np.argmin(z)),) * 2
         best = (math.inf, None)
+        e = comparison._decay(t, t_bar)
         bounds = [0, *cuts, d.size]
         for a, b in zip(bounds[:-1], bounds[1:]):
             u = np.sin(0.5 * ell[a:b])
             block = (a, flat[a:b], flat[a:b], d[a:b], ell[a:b], u)
-            best = comparison._fold_min_z(best, block, t, off)
+            best = comparison._fold_min_z(best, block, e)
         assert best == want
 
 
@@ -629,16 +638,11 @@ def test_sup_a_raises_the_domain_errors_of_a_solve(monkeypatch):
 )
 def test_profile_matches_all_roots_oracle(make, monkeypatch):
     frame = build_frame(canonical_scale(make()))
-    offsets = [
-        (None, 0.0),
-        (None, 0.7),
-        (ComparisonOffset(t_bar=0.4), 0.3),
-        (ComparisonOffset(t_bar=-math.inf, round_circle=True), 0.0),
-    ]
-    want = [_profile_all_roots(frame, offset, t) for offset, t in offsets]
+    offsets = [(None, 0.0), (None, 0.7), (0.4, 0.3), (-math.inf, 0.0)]
+    want = [_profile_all_roots(frame, t_bar, t) for t_bar, t in offsets]
     for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
-        got = [profile(frame, offset, t) for offset, t in offsets]
+        got = [profile(frame, t_bar, t) for t_bar, t in offsets]
         assert got == want  # every field, min_z and min_z_pair too
 
 
@@ -699,9 +703,9 @@ def test_profile_solves_roots_in_one_call(make, monkeypatch):
     monkeypatch.setattr(comparison, "_a_root", counting)
     for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
-        for offset in (None, ComparisonOffset(t_bar=0.4)):
+        for t_bar in (None, 0.4):
             calls.clear()
-            assert profile(frame, offset, 0.3).n_active > 0
+            assert profile(frame, t_bar, 0.3).n_active > 0
             assert len(calls) == 1
 
 

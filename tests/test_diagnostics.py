@@ -95,7 +95,7 @@ def test_quadrature_identity_every_snapshot(checked_run):
 def test_circle_reports_are_degenerate_but_clean(circle_run):
     res = circle_run
     assert res.passed
-    assert res.measures.profiles[0].round_circle
+    assert res.measures.profiles[0].a_bar == 0.0
 
     dist = res.reports["distance-comparison"]
     assert dist.passed and dist.worst_margin >= -1e-9
@@ -232,7 +232,7 @@ def test_pool_profiles_equal_serial_profiles(curve, monkeypatch, pool_starts):
     assert pooled == oracle
     assert len(pooled) == len(traj.snapshots)
     if curve == "circle":
-        assert all(p.t_bar == -math.inf and p.round_circle for p in pooled)
+        assert all(p.a_bar == 0.0 and p.t_bar == -math.inf for p in pooled)
     assert multiprocessing.active_children() == []
 
 

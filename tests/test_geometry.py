@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,12 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ellipe
 
 import csflow.geometry as geometry
-from csflow.errors import (
-    CurveFormatError,
-    DegenerateCurve,
-    InvalidPair,
-    ResampleFailure,
-)
+from csflow.errors import CurveFormatError, DegenerateCurve, ResampleFailure
 from csflow.geometry import (
     EMBED_TOL,
     DiscreteCurve,
@@ -24,7 +20,6 @@ from csflow.geometry import (
     all_pairs_chord_arc,
     build_frame,
     canonical_scale,
-    chord_arc,
     cyclic_shift,
     is_embedded,
     load_curve,
@@ -166,17 +161,22 @@ def test_arclength_starts_at_zero_and_increases():
 # -- chord / arc queries ------------------------------------------------------
 
 
+def chord_arc(frame, i, j):
+    """Per-pair oracle of all_pairs_chord_arc: the chord length and the
+    shorter arc length of the vertex pair (i, j)."""
+    diff = frame.vertices[j] - frame.vertices[i]
+    d = float(np.hypot(diff[0], diff[1]))
+    arc = abs(frame.arclength[j] - frame.arclength[i])
+    return d, float(min(arc, frame.length - arc))
+
+
 def test_chord_arc_minor_axis_of_ellipse():
     """Minor-axis endpoints: chord exactly 2, arc = half perimeter."""
     n = 1024
     frame = build_frame(ellipse_theta(2.0, 1.0, n))
-    d, ell, w, theta = chord_arc(frame, n // 4, 3 * n // 4)
+    d, ell = chord_arc(frame, n // 4, 3 * n // 4)
     assert d == pytest.approx(2.0, abs=1e-12)
     assert ell == pytest.approx(ELL_PERIMETER / 2.0, abs=2e-5)
-    assert theta == pytest.approx(math.pi, abs=1e-9)  # antipodal tangents
-    # the chord meets both tangents at a right angle
-    assert np.dot(frame.tangents[n // 4], w) == pytest.approx(0.0, abs=1e-9)
-    assert np.dot(frame.tangents[3 * n // 4], w) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_chord_arc_symmetry_and_bounds():
@@ -184,20 +184,11 @@ def test_chord_arc_symmetry_and_bounds():
     rng = np.random.default_rng(7)
     for _ in range(50):
         i, j = rng.choice(48, size=2, replace=False)
-        d_ij, ell_ij, w_ij, th_ij = chord_arc(frame, int(i), int(j))
-        d_ji, ell_ji, w_ji, th_ji = chord_arc(frame, int(j), int(i))
-        assert d_ij == d_ji and ell_ij == ell_ji and th_ij == th_ji
-        assert w_ij[0] == -w_ji[0] and w_ij[1] == -w_ji[1]
+        d_ij, ell_ij = chord_arc(frame, int(i), int(j))
+        d_ji, ell_ji = chord_arc(frame, int(j), int(i))
+        assert d_ij == d_ji and ell_ij == ell_ji
         assert d_ij <= ell_ij + 1e-14  # chord never beats the arc
         assert ell_ij <= frame.length / 2 + 1e-14
-
-
-def test_chord_arc_rejects_bad_pairs():
-    frame = build_frame(circle(16))
-    with pytest.raises(InvalidPair):
-        chord_arc(frame, 3, 3)
-    with pytest.raises(InvalidPair):
-        chord_arc(frame, 0, 16)
 
 
 def test_all_pairs_matches_single_pair_queries():
@@ -205,7 +196,7 @@ def test_all_pairs_matches_single_pair_queries():
     i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
     assert i_idx.size == 24 * 23 // 2
     for k in range(0, i_idx.size, 17):
-        d1, ell1, _, _ = chord_arc(frame, int(i_idx[k]), int(j_idx[k]))
+        d1, ell1 = chord_arc(frame, int(i_idx[k]), int(j_idx[k]))
         assert d[k] == pytest.approx(d1, rel=1e-15)
         assert ell[k] == pytest.approx(ell1, rel=1e-15)
 
@@ -518,3 +509,14 @@ def test_loaded_clockwise_csv_is_reoriented(tmp_path):
     path = tmp_path / "cw.csv"
     save_curve(DiscreteCurve(circle(32).vertices[::-1].copy()), path)
     assert geometry.signed_area(load_curve(path).vertices) > 0.0
+
+
+def test_clockwise_curve_near_the_float_range_loads_counterclockwise(tmp_path):
+    # the unscaled shoelace sum of radius 1e300 overflows to NaN
+    ccw = circle(64, r=1e300).vertices
+    path = tmp_path / "cw.json"
+    save_curve(DiscreteCurve(ccw[::-1].copy()), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_curve(path)
+    assert np.array_equal(back.vertices, ccw)

@@ -534,6 +534,18 @@ def test_cli_profile_prints_summary(ellipse_path, tmp_path, capsys):
     assert "pair table:" in out
 
 
+def test_cli_profile_prints_the_round_circle_lines(tmp_path, capsys):
+    path = tmp_path / "circle.json"
+    save_curve(gen_circle(1.0, 64), path)
+    rc = cli.main(["profile", str(path), "--out", str(tmp_path / "t.csv")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[:2] == [
+        "a_bar = 0 (round-circle: every chord at or above 2 sin(l/2))",
+        "t_bar = -inf",
+    ]
+
+
 def test_cli_run_without_flow_flags_builds_default_flow_config(monkeypatch):
     specs = []
 
