@@ -330,7 +330,7 @@ def check_curvature_bound(m: Measures) -> BoundReport:
     # are expected to trip this. Logged only, never a failure.
     late = (bound - measured)[time >= 1.0]
     if late.size >= 2 and np.any(np.diff(late) < -1e-9):
-        log.warning("curvature-bound margin not monotone after t = 1")
+        log.info("curvature-bound margin not monotone after t = 1")
     return BoundReport(
         name="curvature-bound",
         time=time,

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     ConfigError,
@@ -35,6 +35,7 @@ from .errors import (
 from .geometry import (
     DiscreteCurve,
     CurveFrame,
+    _edge_lengths,
     build_frame,
     canonical_scale,
     cyclic_shift,
@@ -134,17 +135,11 @@ class Snapshot:
 
     __slots__ = ("time", "step", "curve", "_frame")
 
-    def __init__(
-        self,
-        time: float,
-        step: int,
-        curve: DiscreteCurve,
-        frame: CurveFrame | None = None,
-    ):
+    def __init__(self, time: float, step: int, curve: DiscreteCurve):
         self.time = float(time)
         self.step = int(step)
         self.curve = curve
-        self._frame = frame
+        self._frame = None
 
     @property
     def frame(self) -> CurveFrame:
@@ -241,7 +236,7 @@ def _solve_cyclic_tridiagonal(
 
     Row i couples lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] with
     wrap-around; the corner entries are folded in by a rank-one
-    (Sherman-Morrison) correction around a banded LU solve.
+    (Sherman-Morrison) correction around LAPACK's tridiagonal solve gtsv.
     """
     n = diag.size
     rhs2 = rhs if rhs.ndim == 2 else rhs[:, None]
@@ -250,15 +245,12 @@ def _solve_cyclic_tridiagonal(
     d[0] -= gamma
     d[-1] -= lower[0] * upper[-1] / gamma
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = d
-    ab[2, :-1] = lower[1:]
-
     u = np.zeros((n, 1))
     u[0, 0] = gamma
     u[-1, 0] = upper[-1]
-    sol = solve_banded((1, 1), ab, np.hstack([rhs2, u]))
+    *_, sol, info = dgtsv(lower[1:], d, upper[:-1], np.hstack([rhs2, u]))
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
     y, w = sol[:, :-1], sol[:, -1]
     # v = (1, 0, ..., lower[0]/gamma)
     vy = y[0] + (lower[0] / gamma) * y[-1]
@@ -283,10 +275,11 @@ def _finish_step(
         raise NumericalBlowup(
             "non-finite coordinates after step", step=snapshot.step, time=snapshot.time
         )
+    if rescale:  # canonical_scale's factor, read off the raw vertices
+        scale = TWO_PI / float(np.sum(_edge_lengths(new_vertices)))
+        new_vertices = new_vertices * scale
     curve = DiscreteCurve(new_vertices, name=snapshot.curve.name)
-    if rescale:
-        curve = canonical_scale(curve)
-    return Snapshot(snapshot.time + dt, snapshot.step + 1, curve, build_frame(curve))
+    return Snapshot(snapshot.time + dt, snapshot.step + 1, curve)
 
 
 def step_unnormalized(
@@ -358,7 +351,7 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
     normalized = config.kind == KIND_NORMALIZED
     if normalized:
         curve = canonical_scale(curve)
-    snap = Snapshot(0.0, 0, curve, build_frame(curve))
+    snap = Snapshot(0.0, 0, curve)
     snapshots = [snap]
     dense_time = [snap.time]
     dense_len = [snap.frame.length]
@@ -391,7 +384,8 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
                 resampled = resample_uniform(nxt.curve, config.n)
                 if normalized:
                     resampled = canonical_scale(resampled)
-                nxt = Snapshot(nxt.time, nxt.step, resampled, build_frame(resampled))
+                nxt = Snapshot(nxt.time, nxt.step, resampled)
+            nxt.frame  # built here, so a degenerate frame is a step failure
         except NumericalBlowup:
             termination = TERM_BLOWUP
             break

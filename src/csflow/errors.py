@@ -25,10 +25,6 @@ class DegenerateCurve(CsflowError):
     kind = "DegenerateCurve"
 
 
-class ResampleFailure(CsflowError):
-    kind = "ResampleFailure"
-
-
 class NotEmbedded(CsflowError):
     kind = "NotEmbedded"
 

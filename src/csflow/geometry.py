@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveFormatError, DegenerateCurve, ResampleFailure
+from .errors import CurveFormatError, DegenerateCurve
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,6 +59,12 @@ def signed_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
+def _edge_lengths(vertices: np.ndarray) -> np.ndarray:
+    """Length of edge i, from vertex i to vertex i+1, of a raw vertex array."""
+    edges = cyclic_shift(vertices, -1) - vertices
+    return np.hypot(edges[:, 0], edges[:, 1])
+
+
 def polygon_length(curve: "DiscreteCurve") -> float:
     """Total edge length, without building a full frame."""
     return float(np.sum(curve.edge_lengths))
@@ -87,8 +93,7 @@ class DiscreteCurve:
             raise DegenerateCurve(f"need at least 8 vertices, got {arr.shape[0]}")
         if not np.all(np.isfinite(arr)):
             raise DegenerateCurve("non-finite vertex coordinates")
-        edges = cyclic_shift(arr, -1) - arr
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        lengths = _edge_lengths(arr)
         if np.any(lengths <= 0.0):
             raise DegenerateCurve("duplicated consecutive vertices")
         arr = arr.copy()
@@ -107,9 +112,10 @@ class DiscreteCurve:
         coordinates near the float range cannot overflow it to NaN.
         """
         arr = _as_vertex_array(vertices)
-        _, exponent = np.frexp(np.max(np.abs(arr), initial=0.0))
-        if signed_area(np.ldexp(arr, -exponent)) < 0.0:
-            arr = arr[::-1]
+        if arr.shape[0] >= 8:  # the constructor rejects shorter arrays
+            _, exponent = np.frexp(np.max(np.abs(arr)))
+            if signed_area(np.ldexp(arr, -exponent)) < 0.0:
+                arr = arr[::-1]
         return cls(arr, name=name)
 
     @property
@@ -366,7 +372,7 @@ def resample_uniform(curve: DiscreteCurve, n: int) -> DiscreteCurve:
     :func:`csflow.dynamics.run` tests the states it keeps.
     """
     if n < 8:
-        raise ResampleFailure(f"cannot resample to fewer than 8 vertices, got {n}")
+        raise DegenerateCurve(f"cannot resample to fewer than 8 vertices, got {n}")
     v = curve.vertices
     closed = np.vstack([v, v[:1]])
     s = np.concatenate([[0.0], np.cumsum(curve.edge_lengths)])

@@ -46,7 +46,6 @@ from .errors import (
     DegenerateCurve,
     GenerationFailure,
     NotEmbedded,
-    ResampleFailure,
 )
 from .geometry import (
     DiscreteCurve,
@@ -137,7 +136,7 @@ def gen_dumbbell(neck: float = 0.2, n: int = 512) -> DiscreteCurve:
             np.column_stack([r * np.cos(theta), r * np.sin(theta)]), name="dumbbell"
         )
         return resample_uniform(dense, n)
-    except (DegenerateCurve, ResampleFailure) as exc:
+    except DegenerateCurve as exc:
         raise GenerationFailure(
             f"dumbbell sampling failed: {exc}", neck=neck, n=n
         ) from exc

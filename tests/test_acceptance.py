@@ -6,6 +6,7 @@ are session fixtures shared with the other modules; their wall time is
 recorded at fixture build time and asserted here.
 """
 
+import hashlib
 import math
 import time
 
@@ -237,6 +238,21 @@ def test_criterion_10_mesh_refinement(flagship_ellipse, flagship_dumbbell):
     coarse = profile(build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 256))))
     fine = profile(build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 1024))))
     assert abs(coarse.a_bar - fine.a_bar) < 1e-2
+
+
+# sha256 of each flagship run's series.csv, produced with numpy 2.4.6 and
+# scipy 1.17.1. A change that alters the numerics on purpose updates these
+# and says so; any other change must leave them as they are.
+_FLAGSHIP_SERIES_SHA256 = {
+    "ellipse": "0923259bc94997746dc5a7b610bde598c5f2d7382c0780337a524c586d769c4d",
+    "dumbbell": "4745f160cab84865a6c2bf074e85b1f2c7a45096d312d2dfa6037da0cf22f497",
+}
+
+
+def test_flagship_series_bytes_are_pinned(flagship_ellipse, flagship_dumbbell):
+    for name, res in (("ellipse", flagship_ellipse), ("dumbbell", flagship_dumbbell)):
+        digest = hashlib.sha256((res.outdir / "series.csv").read_bytes()).hexdigest()
+        assert digest == _FLAGSHIP_SERIES_SHA256[name], name
 
 
 def test_criterion_11_determinism(flagship_ellipse, tmp_path):

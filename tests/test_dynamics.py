@@ -12,6 +12,7 @@ from csflow.dynamics import (
     TERM_BLOWUP,
     TERM_END,
     TERM_SELF_INTERSECT,
+    TERM_STEP_FAILURE,
     ClockMap,
     DenseSeries,
     FlowConfig,
@@ -22,7 +23,13 @@ from csflow.dynamics import (
     recover_unnormalized,
     run,
 )
-from csflow.errors import ConfigError, DomainError, NotEmbedded, WrongRunKind
+from csflow.errors import (
+    ConfigError,
+    DegenerateCurve,
+    DomainError,
+    NotEmbedded,
+    WrongRunKind,
+)
 from csflow.geometry import DiscreteCurve
 from csflow.harness import gen_circle, gen_ellipse
 
@@ -174,6 +181,14 @@ def test_cyclic_tridiagonal_against_dense_solve(n):
     np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13)
 
 
+def test_cyclic_tridiagonal_singular_system_raises():
+    zero = np.zeros(8)
+    diag = np.ones(8)
+    diag[3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_cyclic_tridiagonal(zero, diag, zero, np.ones(8))
+
+
 # -- normalized flow ---------------------------------------------------------------
 
 
@@ -256,6 +271,56 @@ def test_resampled_input_must_be_embedded(monkeypatch):
         run(FlowConfig(n=96, t_end=0.01), gen_circle(1.0, 64))
     assert [c.n for c in calls] == [64, 96]
     assert info.value.context == {"n": 96}
+
+
+def test_degenerate_frame_ends_run_as_step_failure(monkeypatch):
+    # call 1 is the initial frame, call k the frame of step k - 1; the first
+    # resample (step 20) comes later
+    k = 5
+    calls = []
+    build_frame = dynamics.build_frame
+
+    def failing(curve):
+        calls.append(curve)
+        if len(calls) == k:
+            raise DegenerateCurve("seeded frame failure")
+        return build_frame(curve)
+
+    monkeypatch.setattr(dynamics, "build_frame", failing)
+    traj = run(FlowConfig(n=64, dt=1e-3, t_end=0.05), gen_ellipse(2.0, 1.0, 64))
+    assert len(calls) == k
+    assert traj.termination == TERM_STEP_FAILURE
+    assert traj.final.step == k - 2
+    assert traj.dense.time.size == k - 1
+
+
+def test_step_builds_one_curve_and_one_frame(monkeypatch):
+    initial = gen_ellipse(2.0, 1.0, 64)
+    counts = {"curves": 0, "frames": 0, "resamples": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        DiscreteCurve, "__post_init__", counting("curves", DiscreteCurve.__post_init__)
+    )
+    monkeypatch.setattr(dynamics, "build_frame", counting("frames", dynamics.build_frame))
+    monkeypatch.setattr(
+        dynamics, "resample_uniform", counting("resamples", dynamics.resample_uniform)
+    )
+    traj = run(FlowConfig(n=64, dt=1e-3, t_end=0.05), initial)
+    steps = traj.final.step
+    assert traj.termination == TERM_END and steps == 50
+    assert counts["resamples"] == 2  # steps 20 and 40
+    # one frame per kept state: the initial one and one per step
+    assert counts["frames"] == traj.dense.time.size == steps + 1
+    # one curve per step, two per resample (resample, rescale), and the
+    # initial rescale
+    assert counts["curves"] == steps + 2 * counts["resamples"] + 1
 
 
 def test_snapshot_cadence_and_lazy_frames():

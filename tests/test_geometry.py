@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ellipe
 
 import csflow.geometry as geometry
-from csflow.errors import CurveFormatError, DegenerateCurve, ResampleFailure
+from csflow.errors import CurveFormatError, DegenerateCurve
 from csflow.geometry import (
     EMBED_TOL,
     DiscreteCurve,
@@ -76,6 +76,14 @@ def test_constructor_rejects_degenerate_input():
     nonfinite[0, 0] = np.nan
     with pytest.raises(DegenerateCurve):
         DiscreteCurve(nonfinite)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 7])
+def test_from_vertices_rejects_short_arrays(count):
+    # the orientation test must not see an empty array: cyclic_shift would
+    # divide by its length
+    with pytest.raises(DegenerateCurve):
+        DiscreteCurve.from_vertices(circle(16).vertices[:count])
 
 
 def test_vertices_are_immutable():
@@ -435,7 +443,7 @@ def test_resample_preserves_shape_and_length():
 
 
 def test_resample_rejects_tiny_target():
-    with pytest.raises(ResampleFailure):
+    with pytest.raises(DegenerateCurve):
         resample_uniform(circle(64), 4)
 
 
