@@ -22,14 +22,19 @@ return IdentityReports with measured residuals.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ellipeinc
 
-from .errors import DomainError
+from .errors import CsflowError, DomainError
 from .geometry import CurveFrame, all_pairs_chord_arc
 
 TWO_PI = 2.0 * math.pi
@@ -375,26 +380,35 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
     return i, i + 1 + k - int(starts[i])
 
 
-def _pair_blocks(frame: CurveFrame):
-    """Every vertex pair of a canonical frame in row blocks of at least
-    _BLOCK_PAIRS pairs (or the rest), in flat pair order.
-
-    Yields ``(start, i_idx, j_idx, d, ell, u)``: the flat index of the
-    block's first pair, the pairs, the chords, the shorter arcs clipped to
-    pi (the L/2 rounding hair) and u = sin(ell/2); each block has passed
-    the domain check of a_solve. The blocks' row ranges [i0, i1) tile
-    [0, n - 1); row n - 1 holds no pairs.
-    """
-    n = frame.n
+def _block_rows(n: int) -> list[tuple[int, int, int]]:
+    """The row blocks ``(start, i0, i1)`` of the pairs of an n-gon: rows
+    [i0, i1) holding at least _BLOCK_PAIRS pairs (or the rest), tiling
+    [0, n - 1) in order (row n - 1 holds no pairs); start is the flat index
+    of the block's first pair."""
     starts = _row_starts(n)[:-1]  # rows 0 .. n - 2
-    i0 = 0
+    rows, i0 = [], 0
     while i0 < n - 1:
         i1 = max(int(np.searchsorted(starts, starts[i0] + _BLOCK_PAIRS)), i0 + 1)
-        i_idx, j_idx, d, ell = all_pairs_chord_arc(frame, i0, i1)
-        ell = np.minimum(ell, math.pi)
-        _validate_pairs(d, ell)
-        yield int(starts[i0]), i_idx, j_idx, d, ell, np.sin(0.5 * ell)
+        rows.append((int(starts[i0]), i0, i1))
         i0 = i1
+    return rows
+
+
+def _pair_block(frame: CurveFrame, start: int, i0: int, i1: int):
+    """The pairs of rows [i0, i1) of a canonical frame, whose first pair has
+    flat index ``start``, as ``(start, i_idx, j_idx, d, ell, u)``: the
+    pairs, the chords, the shorter arcs clipped to pi (the L/2 rounding
+    hair) and u = sin(ell/2), past the domain check of a_solve."""
+    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame, i0, i1)
+    ell = np.minimum(ell, math.pi)
+    _validate_pairs(d, ell)
+    return start, i_idx, j_idx, d, ell, np.sin(0.5 * ell)
+
+
+def _pair_blocks(frame: CurveFrame):
+    """Every vertex pair of a canonical frame, one :func:`_pair_block` per
+    row block of :func:`_block_rows`, in flat pair order."""
+    return (_pair_block(frame, *rows) for rows in _block_rows(frame.n))
 
 
 def _decay(t: float, t_bar: float):
@@ -518,24 +532,128 @@ def profile(
     return replace(summary, min_z=best_z[0], min_z_pair=best_z[1])
 
 
-def ratio_table(frame: CurveFrame, emit) -> ProfileSummary:
-    """The profile without Z, with the ratio a of every vertex pair handed
-    to ``emit(ell, d, a)`` one row block at a time, in flat pair order.
+# -- forked workers ----------------------------------------------------------
+
+def _pool_size(tasks: int) -> int:
+    """Workers to run ``tasks`` independent tasks with; below 2 means in this
+    process.
+
+    A forked child holds only the forking thread, so a lock that another
+    thread held stays held in the child: with other threads running, stay
+    serial.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
+def _fork_worker(conn, fn, tasks) -> None:
+    """Send ``(True, fn(task))`` for each task in order, or ``(False, error)``
+    for the first task that raises, and stop there."""
+    try:
+        for task in tasks:
+            conn.send((True, fn(task)))
+    except Exception as exc:
+        conn.send((False, exc))
+
+
+def _fork_map(fn, tasks, workers: int):
+    """Yield ``fn(task)`` for each of the sequence ``tasks``, in order,
+    computed in ``workers`` forked processes.
+
+    Worker w runs ``tasks[w::workers]`` and sends each result down its own
+    one-way pipe; this thread receives task b from pipe b % workers, so the
+    results come in task order and a pipe's buffer bounds how far a worker
+    runs ahead. ``fn`` and the tasks reach the workers as Process arguments,
+    which fork hands over without pickling. (Not multiprocessing.Pool: its
+    result-handler thread unpickles each result into a malloc arena of its
+    own, which raised peak RSS by about 10% on 1 MB results.)
+
+    A failing task raises its error here, so the error raised is the
+    earliest failing task's; a worker that exits without a result raises
+    CsflowError with the task and its exit code. The workers are terminated
+    and joined when the generator finishes or is closed.
+    """
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for w in range(workers):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_fork_worker, args=(send_end, fn, tasks[w::workers]), daemon=True
+            )
+            proc.start()
+            # a worker forked later must not hold this pipe's write end, or a
+            # dead worker's pipe would never read as closed
+            send_end.close()
+            procs.append(proc)
+            conns.append(recv_end)
+        for b in range(len(tasks)):
+            w = b % workers
+            try:
+                ok, value = conns[w].recv()
+            except EOFError:
+                procs[w].join()
+                raise CsflowError(
+                    "profile worker exited without a result",
+                    task=b,
+                    exitcode=procs[w].exitcode,
+                ) from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+# -- the ratio table ---------------------------------------------------------
+
+def _table_block(frame: CurveFrame, render, rows):
+    """One row block of the ratio table: ``render(ell, d, a)`` of the block,
+    and the flat index of its first argmax of a, its maximum and its
+    nonzero count."""
+    start, _, _, d, ell, _ = _pair_block(frame, *rows)
+    a = a_solve(d, ell)
+    k = int(np.argmax(a))
+    return render(ell, d, a), (start + k, float(a[k]), int(np.count_nonzero(a)))
+
+
+def ratio_table(frame: CurveFrame, render, write) -> ProfileSummary:
+    """The profile without Z, with the ratio a of every vertex pair, one row
+    block at a time: ``render(ell, d, a)`` turns a block into what ``write``
+    takes, and ``write`` gets the rendered blocks in flat pair order.
 
     The blocks are those of the profile sweep, ell clipped to pi, and a is
-    a_solve over each block, so memory stays O(N + block). The off-diagonal
-    supremum is the running first argmax, maximum and count of the same
-    values that :func:`profile` prunes to.
+    a_solve over each block, so memory stays O(N + block). With more than
+    one block and several usable cores (see _pool_size), the blocks are
+    solved and rendered in forked workers and only ``write`` runs in this
+    process; otherwise, and as the oracle of the pool, one after another
+    here. Either way an error is that of the earliest failing block. The
+    off-diagonal supremum is the first argmax, maximum and count of the
+    same values that :func:`profile` prunes to.
     """
     _require_canonical(frame)
+    rows = _block_rows(frame.n)
+    unit = functools.partial(_table_block, frame, render)
+    workers = _pool_size(len(rows))
+    if workers > 1:
+        blocks = _fork_map(unit, rows, workers)
+    else:
+        blocks = (unit(r) for r in rows)
     im, off_max, n_active = 0, 0.0, 0
-    for start, _, _, d, ell, _ in _pair_blocks(frame):
-        a = a_solve(d, ell)
-        emit(ell, d, a)
-        k = int(np.argmax(a))
-        if a[k] > off_max:  # strict: ties go to the earlier block
-            im, off_max = start + k, float(a[k])
-        n_active += int(np.count_nonzero(a))
+    with contextlib.closing(blocks):  # a failing write stops the workers too
+        for rendered, (k, a_max, active) in blocks:
+            write(rendered)
+            if a_max > off_max:  # strict: ties go to the earlier block
+                im, off_max = k, a_max
+            n_active += active
     return _summary(frame, _pair_at(frame.n, im), off_max, n_active)
 
 

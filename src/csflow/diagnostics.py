@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
-import os
-import threading
 from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import ProfileSummary, profile
+from .comparison import ProfileSummary, _fork_map, _pool_size, profile
 from .dynamics import KIND_NORMALIZED, Snapshot, Trajectory
 from .errors import DomainError, WrongRunKind
 from .geometry import CurveFrame, cyclic_shift
@@ -140,47 +137,16 @@ class Measures:
 # about 2^18 pairs at 8 M pairs/s, so the pool only pays well above that.
 POOL_MIN_PAIRS = 1 << 20
 
-# a worker's (later snapshots, head offset t_bar), inherited through fork
-# when the worker starts, so a task is just an index; never set in the caller
-_pool_job: tuple[list[Snapshot], float] | None = None
-
-
-def _start_worker(rest: list[Snapshot], t_bar: float) -> None:
-    global _pool_job
-    _pool_job = (rest, t_bar)
-
-
-def _profile_later(i: int) -> ProfileSummary:
-    snaps, t_bar = _pool_job
-    return profile(snaps[i].frame, t_bar=t_bar, t=snaps[i].time)
-
-
-def _pool_size(rest: list[Snapshot]) -> int:
-    """Workers to profile ``rest`` with; below 2 means serially.
-
-    A forked child holds only the forking thread, so a lock that another
-    thread held stays held in the child: with other threads running, stay
-    serial.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    pairs = sum(s.curve.n * (s.curve.n - 1) // 2 for s in rest)
-    if pairs < POOL_MIN_PAIRS:
-        return 1
-    return min(len(os.sched_getaffinity(0)), len(rest))
-
 
 def snapshot_profiles(traj: Trajectory) -> list[ProfileSummary]:
     """Pair profiles of every snapshot, one profile each, with Z evaluated
     against the offset frozen at the first snapshot (the first snapshot's
     own). The dominant cost of all bound checks.
 
-    The later snapshots are profiled in a forked pool across the usable
-    cores, when there are several, no other thread runs and the snapshots
-    hold enough pairs to repay the pool's start; otherwise, and as the
-    oracle of the pool, one after another.
+    The later snapshots are profiled in forked workers across the usable
+    cores (see comparison._fork_map), when there are several, no other
+    thread runs and the snapshots hold enough pairs to repay the workers'
+    start; otherwise, and as the oracle of the pool, one after another.
     Either way the results come in snapshot order, and an error is that of
     the earliest failing snapshot.
     """
@@ -188,18 +154,15 @@ def snapshot_profiles(traj: Trajectory) -> list[ProfileSummary]:
         raise WrongRunKind("profiles need a normalized trajectory", kind=traj.kind)
     first, *rest = traj.snapshots
     head = profile(first.frame, t=first.time)
-    workers = _pool_size(rest)
+
+    def later(s: Snapshot) -> ProfileSummary:
+        return profile(s.frame, t_bar=head.t_bar, t=s.time)
+
+    pairs = sum(s.curve.n * (s.curve.n - 1) // 2 for s in rest)
+    workers = _pool_size(len(rest)) if pairs >= POOL_MIN_PAIRS else 1
     if workers < 2:
-        return [head] + [profile(s.frame, t_bar=head.t_bar, t=s.time) for s in rest]
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_start_worker, initargs=(rest, head.t_bar)
-    )
-    try:
-        later = list(pool.imap(_profile_later, range(len(rest)), chunksize=4))
-    finally:
-        pool.terminate()
-        pool.join()
-    return [head] + later
+        return [head] + [later(s) for s in rest]
+    return [head] + list(_fork_map(later, rest, workers))
 
 
 def convergence_metrics(frame: CurveFrame) -> dict[str, float]:

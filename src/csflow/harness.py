@@ -400,12 +400,20 @@ def verify_identities(nx: int = 400, nt: int = 101) -> list[IdentityReport]:
     ]
 
 
+def _table_text(ell, d, a) -> str:
+    """CSV rows "l,d,a" of one block of the ratio table; "%.17g" formats a
+    float exactly as _fmt does."""
+    rows = np.column_stack((ell, d, a)).ravel().tolist()
+    return ("%.17g,%.17g,%.17g\n" * ell.size) % tuple(rows)
+
+
 def profile_curve(path: str | Path, out_csv: str | Path | None = None):
     """Profile a curve file: summary plus the per-pair (l, d, a) table.
 
     The curve is rescaled to length 2*pi first. Each row block of the table
-    is written as :func:`~csflow.comparison.ratio_table` solves it, so the
-    table is never held whole. Returns the summary and the CSV path written.
+    is written as :func:`~csflow.comparison.ratio_table` hands it over, so
+    the table is never held whole. A failure deletes the partial table.
+    Returns the summary and the CSV path written.
     """
     curve = load_curve(path)
     if not is_embedded(curve):
@@ -416,14 +424,12 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
         if out_csv is not None
         else Path(path).with_suffix(".profile.csv")
     )
-    with open(out_csv, "w") as fh:
-        fh.write("l,d,a\n")
-
-        def write_block(ell, d, a):
-            rows = zip(ell.tolist(), d.tolist(), a.tolist())
-            # "%.17g" formats a float exactly as _fmt does
-            fh.write("".join(["%.17g,%.17g,%.17g\n" % row for row in rows]))
-
-        summary = ratio_table(frame, write_block)
+    fh = open(out_csv, "w")
+    try:
+        with fh:
+            fh.write("l,d,a\n")
+            summary = ratio_table(frame, _table_text, fh.write)
+    except BaseException:
+        out_csv.unlink(missing_ok=True)  # a truncated table is not a result
+        raise
     return summary, out_csv
-

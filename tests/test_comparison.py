@@ -1,6 +1,10 @@
 """Barrier function, ratio solver, profiles, and analytic identity sweeps."""
 
 import math
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -35,7 +39,7 @@ from csflow.comparison import (
     profile,
     ratio_table,
 )
-from csflow.errors import DomainError
+from csflow.errors import CsflowError, DomainError
 from csflow.geometry import all_pairs_chord_arc, build_frame, canonical_scale
 from csflow.harness import gen_circle, gen_dumbbell, gen_ellipse, gen_fourier
 
@@ -308,7 +312,9 @@ def test_profile_requires_canonical_length():
     with pytest.raises(DomainError):
         profile(build_frame(gen_ellipse(2.0, 1.0, 64)))
     with pytest.raises(DomainError):
-        ratio_table(build_frame(gen_ellipse(2.0, 1.0, 64)), lambda *block: None)
+        ratio_table(
+            build_frame(gen_ellipse(2.0, 1.0, 64)), lambda *b: None, lambda r: None
+        )
 
 
 def test_profile_z_against_own_offset_is_nonnegative():
@@ -347,7 +353,7 @@ def test_profile_without_offset_uses_own_offset(make):
         lambda: gen_fourier(3, 6, 256),
     ],
 )
-def test_ratio_table_matches_profile_and_a_solve(make, monkeypatch):
+def test_ratio_table_matches_profile_and_a_solve(make, monkeypatch, pool_starts):
     frame = build_frame(canonical_scale(make()))
     # oracle: one whole-range sweep and a_solve over every pair
     _, _, d_all, ell_all = all_pairs_chord_arc(frame)
@@ -357,9 +363,10 @@ def test_ratio_table_matches_profile_and_a_solve(make, monkeypatch):
     for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
         blocks = []
-        summary = ratio_table(frame, lambda *block: blocks.append(block))
+        summary = ratio_table(frame, lambda *b: b, blocks.append)
         if block_pairs == 1:
             assert len(blocks) == frame.n - 1
+            assert pool_starts[-1] == 2  # the arrays came back from the workers
         ell, d, a = (np.concatenate(col) for col in zip(*blocks))
         assert np.array_equal(ell, ell_all)
         assert np.array_equal(d, d_all)
@@ -379,19 +386,97 @@ def test_ratio_table_ties_go_to_the_first_pair(monkeypatch):
     im = int(np.argmax(a))
     for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
-        summary = ratio_table(frame, lambda *block: None)
+        summary = ratio_table(frame, lambda *b: None, lambda rendered: None)
         assert summary.attained == (i_idx[im], j_idx[im])
         assert summary.offdiagonal_max == a[im] == 12.0
         assert summary.n_active == np.count_nonzero(a)
 
 
-def test_ratio_table_memory_stays_bounded_at_n_2048():
+def test_pooled_table_raises_the_earliest_failing_block(
+    monkeypatch, pool_starts, fault_on_blocks
+):
+    frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 512)))  # 8 blocks
+
+    def fail(b, delay=0.0):
+        def fault():
+            time.sleep(delay)  # lets the later failure finish first
+            raise DomainError("seeded table failure", block=b, pair=(1, 2))
+
+        return fault
+
+    fault_on_blocks(frame, {2: fail(2, 0.3), 5: fail(5)})
+    with monkeypatch.context() as serial:
+        serial.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with pytest.raises(DomainError) as serial_exc:
+            ratio_table(frame, lambda *b: None, lambda rendered: None)
+    assert pool_starts == []
+    with pytest.raises(DomainError) as pool_exc:
+        ratio_table(frame, lambda *b: None, lambda rendered: None)
+    assert pool_starts == [2]
+    want, got = serial_exc.value, pool_exc.value
+    assert type(got) is type(want)
+    assert (got.kind, got.message, got.context) == (want.kind, want.message, want.context)
+    assert got.context == {"block": 2, "pair": (1, 2)}
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_table_worker_raises(
+    pool_starts, deadline, fault_on_blocks, die_in_worker
+):
+    frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 512)))
+    fault_on_blocks(frame, {3: die_in_worker})  # task 3, on the last worker
+    written = []
+    with pytest.raises(CsflowError) as exc:
+        ratio_table(frame, lambda *b: None, written.append)
+    assert pool_starts == [2]
+    assert len(written) == 3  # the blocks before the dead one
+    assert exc.value.message == "profile worker exited without a result"
+    assert exc.value.context == {"task": 3, "exitcode": 3}
+    assert multiprocessing.active_children() == []
+
+
+def test_one_usable_core_keeps_the_table_serial(monkeypatch, no_pool):
+    frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 512)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    blocks = []
+    summary = ratio_table(frame, lambda *b: b, blocks.append)
+    assert len(blocks) == len(comparison._block_rows(frame.n)) > 1
+    assert summary == replace(profile(frame), min_z=None, min_z_pair=None)
+
+
+def test_other_threads_keep_the_table_serial(monkeypatch, no_pool):
+    frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, 512)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60.0,))
+    other.start()
+    try:
+        summary = ratio_table(frame, lambda *b: None, lambda rendered: None)
+    finally:
+        release.set()
+        other.join(timeout=60.0)
+    assert not other.is_alive()
+    assert summary == replace(profile(frame), min_z=None, min_z_pair=None)
+
+
+def test_one_block_table_stays_serial(monkeypatch, no_pool):
+    frame = build_frame(canonical_scale(gen_fourier(1, 6, 128)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert len(comparison._block_rows(frame.n)) == 1
+    blocks = []
+    ratio_table(frame, lambda *b: b, blocks.append)
+    assert len(blocks) == 1
+
+
+def test_ratio_table_memory_stays_bounded_at_n_2048(monkeypatch):
     # memory guard, no timing: the table is solved and handed out one row
-    # block at a time, where one whole-range table peaked near 250 MiB
+    # block at a time, where one whole-range table peaked near 250 MiB. One
+    # usable core keeps the solve in this process, where tracemalloc sees it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     frame = build_frame(canonical_scale(gen_fourier(4, 6, 2048)))
     tracemalloc.start()
     try:
-        summary = ratio_table(frame, lambda ell, d, a: None)
+        summary = ratio_table(frame, lambda ell, d, a: None, lambda rendered: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Bound checks and convergence metrics along normalized runs."""
 
+import json
 import logging
 import math
 import multiprocessing
@@ -31,7 +32,7 @@ from csflow.dynamics import (
     Snapshot,
     Trajectory,
 )
-from csflow.errors import DomainError, WrongRunKind
+from csflow.errors import CsflowError, DomainError, WrongRunKind
 from csflow.geometry import canonical_scale
 from csflow.harness import ALL_CHECKS, RunSpec, execute, gen_circle, gen_ellipse
 
@@ -195,31 +196,6 @@ POOL_CURVES = {
 }
 
 
-@pytest.fixture
-def pool_starts(monkeypatch):
-    """Send any input through the pool, with two workers even on one core;
-    the list records each pool's worker count as it starts."""
-    ctx = multiprocessing.get_context("fork")
-    starts = []
-
-    def counting_pool(processes, **kwargs):
-        starts.append(processes)
-        return type(ctx).Pool(ctx, processes, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "POOL_MIN_PAIRS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(ctx, "Pool", counting_pool)
-    return starts
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a profile pool was started")
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", refuse)
-
-
 @pytest.mark.parametrize("curve", list(POOL_CURVES))
 def test_pool_profiles_equal_serial_profiles(curve, monkeypatch, pool_starts):
     traj = _flow(*POOL_CURVES[curve])
@@ -239,7 +215,7 @@ def test_pool_profiles_equal_serial_profiles(curve, monkeypatch, pool_starts):
 def test_pool_raises_the_earliest_failing_snapshot(monkeypatch, pool_starts):
     traj = _flow("ellipse", {"a": 2.0, "b": 1.0})
     times = traj.times
-    slow, fast = times[3], times[10]  # in the first and third task chunks
+    slow, fast = times[3], times[10]  # tasks 2 and 9: one on each worker
 
     def failing(frame, *args, t, **kwargs):
         if t == slow:
@@ -260,6 +236,44 @@ def test_pool_raises_the_earliest_failing_snapshot(monkeypatch, pool_starts):
     assert type(got) is type(want)
     assert (got.kind, got.message, got.context) == (want.kind, want.message, want.context)
     assert got.context == {"time": slow, "pair": (1, 2)}
+    assert multiprocessing.active_children() == []
+
+
+def _fault_at(monkeypatch, t_fault, fault):
+    """Make diagnostics.profile call fault() on the snapshot at time t_fault."""
+
+    def faulty(frame, *args, t, **kwargs):
+        if t == t_fault:
+            fault()
+        return profile(frame, *args, t=t, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "profile", faulty)
+
+
+def test_dead_profile_worker_raises(monkeypatch, pool_starts, deadline, die_in_worker):
+    traj = _flow("ellipse", {"a": 2.0, "b": 1.0})
+    _fault_at(monkeypatch, traj.times[4], die_in_worker)  # task 3, on the last worker
+    with pytest.raises(CsflowError) as exc:
+        snapshot_profiles(traj)
+    assert pool_starts == [2]
+    assert exc.value.message == "profile worker exited without a result"
+    assert exc.value.context == {"task": 3, "exitcode": 3}
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_run_exits_2_on_a_dead_profile_worker(
+    monkeypatch, pool_starts, deadline, die_in_worker, capsys
+):
+    traj = _flow("ellipse", {"a": 2.0, "b": 1.0})
+    _fault_at(monkeypatch, traj.times[4], die_in_worker)
+    argv = ["run", "--generator", "ellipse", "--n", "64", "--t-end", "0.3"]
+    assert cli.main(argv + ["--no-persist"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "kind": "Error",
+        "message": "profile worker exited without a result",
+        "context": {"task": 3, "exitcode": 3},
+    }
     assert multiprocessing.active_children() == []
 
 

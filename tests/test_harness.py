@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from csflow import __version__, cli, comparison, geometry, harness
 from csflow.dynamics import KIND_UNNORMALIZED, TERM_END, FlowConfig
-from csflow.errors import ConfigError, GenerationFailure, NotEmbedded
+from csflow.errors import ConfigError, DomainError, GenerationFailure, NotEmbedded
 from csflow.geometry import (
     DiscreteCurve,
     all_pairs_chord_arc,
@@ -385,7 +387,9 @@ def test_profile_curve_default_output_path(ellipse_path):
 
 def test_profile_curve_sweeps_the_pairs_once(ellipse_path, tmp_path, monkeypatch):
     # count guard, no timing: the summary and the pair table share one
-    # sweep, whose row ranges tile [0, n - 1) exactly once
+    # sweep, whose row ranges tile [0, n - 1) exactly once. The calls are
+    # counted in this process, so one usable core keeps the table here.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     sweeps = []
 
     def counting(frame, i0=0, i1=None):
@@ -402,6 +406,76 @@ def test_profile_curve_sweeps_the_pairs_once(ellipse_path, tmp_path, monkeypatch
     assert bounds[-1][1] == 511
     assert all(i0 < i1 for i0, i1 in bounds)
     assert summary.a_bar == pytest.approx(ELL512_ABAR, rel=1e-12)
+
+
+def _profile_both_ways(path, tmp_path, monkeypatch, pool_starts):
+    """profile_curve on one usable core and through the forked workers: the
+    two summaries and CSV texts."""
+    with monkeypatch.context() as serial:
+        serial.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        want, serial_csv = profile_curve(path, tmp_path / "serial.csv")
+    assert pool_starts == []
+    got, pooled_csv = profile_curve(path, tmp_path / "pooled.csv")
+    assert pool_starts == [2]
+    assert multiprocessing.active_children() == []
+    return (want, serial_csv.read_bytes()), (got, pooled_csv.read_bytes())
+
+
+@pytest.mark.parametrize("block_pairs", [None, 7])
+def test_pooled_table_equals_serial_table(
+    ellipse_path, tmp_path, monkeypatch, pool_starts, block_pairs
+):
+    if block_pairs is not None:
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+    serial, pooled = _profile_both_ways(
+        ellipse_path, tmp_path, monkeypatch, pool_starts
+    )
+    assert pooled == serial
+
+
+def test_pooled_table_equals_serial_table_at_n_1024(tmp_path, monkeypatch, pool_starts):
+    path = tmp_path / "fourier4.json"
+    save_curve(gen_fourier(4, 6, 1024), path)
+    serial, pooled = _profile_both_ways(path, tmp_path, monkeypatch, pool_starts)
+    assert pooled == serial
+    assert serial[1].count(b"\n") == 1 + 1024 * 1023 // 2
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1}])
+def test_failed_profile_deletes_its_partial_table(
+    ellipse_path, tmp_path, monkeypatch, pool_starts, fault_on_blocks, cores
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+
+    def fail():
+        raise DomainError("seeded table failure")
+
+    frame = build_frame(canonical_scale(load_curve(ellipse_path)))
+    fault_on_blocks(frame, {2: fail})  # the third block
+    out = tmp_path / "pairs.csv"
+    with pytest.raises(DomainError, match="seeded table failure"):
+        profile_curve(ellipse_path, out)
+    assert not out.exists()
+    assert pool_starts == ([2] if len(cores) > 1 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_profile_exits_2_on_a_dead_table_worker(
+    ellipse_path, tmp_path, pool_starts, deadline, fault_on_blocks, die_in_worker,
+    capsys,
+):
+    frame = build_frame(canonical_scale(load_curve(ellipse_path)))
+    fault_on_blocks(frame, {3: die_in_worker})
+    out = tmp_path / "pairs.csv"
+    assert cli.main(["profile", str(ellipse_path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "kind": "Error",
+        "message": "profile worker exited without a result",
+        "context": {"task": 3, "exitcode": 3},
+    }
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_profile_rejects_self_intersection(fig8_path):
