@@ -6,6 +6,8 @@ chord/arc profile of a curve file).
 
 Failures surface as a single-line JSON object {kind, message, context} on
 standard error with exit status 2; checks that ran but did not hold exit 1.
+A file that cannot be read or written is such a failure: its kind is the
+OSError's class name and its context holds the path.
 """
 
 from __future__ import annotations
@@ -212,8 +214,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CsflowError as exc:
-        print(json.dumps(exc.to_json_dict()), file=sys.stderr)
-        return 2
+        error = exc.to_json_dict()
+    except OSError as exc:
+        # a file the command reads or writes: not a failed check
+        error = {
+            "kind": type(exc).__name__,
+            "message": exc.strerror or str(exc),
+            "context": {"path": exc.filename},
+        }
+    print(json.dumps(error), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -31,8 +31,6 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ellipeinc
 
 from .errors import CsflowError, DomainError
 from .geometry import CurveFrame, all_pairs_chord_arc
@@ -823,6 +821,9 @@ class AnalyticEllipse:
     Arclength comes from the incomplete elliptic integral of the second
     kind, so chords and arcs of nearby points carry full double precision;
     that is what the small-separation Taylor checks need. Requires a >= b.
+    Its methods import the SciPy functions they call, so that only the
+    identity suite and the ellipse generator load scipy.special and
+    scipy.optimize.
     """
 
     def __init__(self, a: float, b: float):
@@ -840,6 +841,8 @@ class AnalyticEllipse:
         return self.a * self.b / w**1.5
 
     def arclength(self, phi0: float, phi1: float) -> float:
+        from scipy.special import ellipeinc
+
         # d s/d phi = a sqrt(1 - m cos^2 phi) = a sqrt(1 - m sin^2(pi/2 - phi))
         s = lambda p: -self.a * float(ellipeinc(0.5 * math.pi - p, self.m))
         return s(phi1) - s(phi0)
@@ -850,6 +853,8 @@ class AnalyticEllipse:
 
     def param_at_arc(self, phi0: float, ds: float) -> float:
         """Parameter phi with arclength(phi0, phi) = ds (signed)."""
+        from scipy.optimize import brentq
+
         if ds == 0.0:
             return phi0
         lo, hi = sorted((phi0 + ds / self.a, phi0 + ds / self.b))

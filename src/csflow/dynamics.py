@@ -21,8 +21,6 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     ConfigError,
@@ -238,6 +236,9 @@ def _solve_cyclic_tridiagonal(
     wrap-around; the corner entries are folded in by a rank-one
     (Sherman-Morrison) correction around LAPACK's tridiagonal solve gtsv.
     """
+    # imported here: a process that never solves implicitly loads no SciPy
+    from scipy.linalg.lapack import dgtsv
+
     n = diag.size
     rhs2 = rhs if rhs.ndim == 2 else rhs[:, None]
     gamma = -diag[0]
@@ -429,6 +430,13 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
 
 # -- change of variables between the flows ------------------------------------
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoidal integral of y over x, starting at 0: the same
+    operations, in the same order, as SciPy's 1-D
+    ``cumulative_trapezoid(y, x, initial=0)``."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def normalize_trajectory(unnorm: Trajectory) -> tuple[Trajectory, ClockMap]:
     """Rescale an un-normalized run to length 2*pi and reparametrize time.
 
@@ -441,7 +449,7 @@ def normalize_trajectory(unnorm: Trajectory) -> tuple[Trajectory, ClockMap]:
     d = unnorm.dense
     tau, length, k_max, avg_k2 = d.time, d.length, d.k_max, d.avg_k2
     integrand = (TWO_PI / length) ** 2
-    t = cumulative_trapezoid(integrand, tau, initial=0.0)
+    t = _cumulative_trapezoid(integrand, tau)
     lam = length / TWO_PI
     clock = ClockMap(tau=tau, t=t, lam=lam, L0=float(length[0]))
 
@@ -477,9 +485,9 @@ def recover_unnormalized(norm: Trajectory, L0: float) -> tuple[Trajectory, Clock
         raise DomainError(f"initial length must be positive, got {L0}")
     d = norm.dense
     t, k_max, avg_k2 = d.time, d.k_max, d.avg_k2
-    integral = cumulative_trapezoid(avg_k2, t, initial=0.0)
+    integral = _cumulative_trapezoid(avg_k2, t)
     lam = (L0 / TWO_PI) * np.exp(-integral)
-    tau = cumulative_trapezoid(lam**2, t, initial=0.0)
+    tau = _cumulative_trapezoid(lam**2, t)
     clock = ClockMap(tau=tau, t=t, lam=lam, L0=float(L0))
 
     snapshots = []

@@ -18,6 +18,7 @@ from csflow.dynamics import (
     FlowConfig,
     Snapshot,
     Trajectory,
+    _cumulative_trapezoid,
     _solve_cyclic_tridiagonal,
     normalize_trajectory,
     recover_unnormalized,
@@ -397,6 +398,19 @@ def test_blow_up_is_reported_not_raised():
 
 
 # -- clock maps -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit(n):
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    y = rng.normal(size=n) * np.exp(rng.uniform(-20.0, 20.0, n))
+    got = _cumulative_trapezoid(y, x)
+    want = cumulative_trapezoid(y, x, initial=0.0)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_normalize_time_map_matches_circle_integral():

@@ -1,6 +1,7 @@
 """Generators, run specs, persistence, the identity suite, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -558,6 +559,40 @@ def test_cli_error_contract(fig8_path, capsys):
     }
 
 
+def test_cli_run_reports_an_unwritable_run_directory(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    outdir = blocker / "run"
+    rc = cli.main(["run", "--n", "64", "--t-end", "0.01", "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2  # not 1: no check failed
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "kind": "NotADirectoryError",
+        "message": "Not a directory",
+        "context": {"path": str(outdir)},
+    }
+    assert blocker.read_text() == "a regular file\n"
+
+
+def test_cli_profile_reports_an_unwritable_table(ellipse_path, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "pairs.csv"
+    rc = cli.main(["profile", str(ellipse_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "kind": "NotADirectoryError",
+        "message": "Not a directory",
+        "context": {"path": str(out)},
+    }
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "a regular file\n"
+
+
 @pytest.mark.parametrize(
     "flag", [["--t-end", "nan"], ["--t-end", "inf"], ["--embed-check-every", "-1"]]
 )
@@ -598,6 +633,33 @@ def test_cli_verify_identities(capsys, seed_barrier_fault):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+# sha256 of the outputs below, produced with numpy 2.4.6 and scipy 1.17.1. A
+# change that alters the numerics on purpose updates these and says so.
+_UNNORMALIZED_SERIES_SHA256 = (
+    "1080d5b8ec73417724006ca0ec301f6fb380ad5bc4202e6808a3316f913e0054"
+)
+_VERIFY_IDENTITIES_STDOUT_SHA256 = (
+    "8dd4443a8ace3f07fe6168c5d4b319c77113fdd3fbb347369de744644e59dac9"
+)
+
+
+def test_unnormalized_series_bytes_are_pinned(tmp_path, capsys):
+    """An explicit adaptive un-normalized run: the flow path that the
+    flagship pins, semi-implicit and normalized, leave out."""
+    outdir = tmp_path / "run"
+    argv = ["run", "--generator", "ellipse", "--kind", "unnormalized"]
+    argv += ["--scheme", "explicit", "--adaptive", "--n", "128", "--t-end", "0.3"]
+    assert cli.main([*argv, "--outdir", str(outdir)]) == 0
+    digest = hashlib.sha256((outdir / "series.csv").read_bytes()).hexdigest()
+    assert digest == _UNNORMALIZED_SERIES_SHA256
+
+
+def test_verify_identities_stdout_is_pinned(capsys):
+    assert cli.main(["verify-identities"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _VERIFY_IDENTITIES_STDOUT_SHA256
 
 
 def test_cli_profile_prints_summary(ellipse_path, tmp_path, capsys):
