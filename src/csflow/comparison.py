@@ -49,6 +49,11 @@ _NEWTON_STEPS = 2
 _DIAG_NOISE_FLOOR = 1e-10
 
 
+def _json_float(x: float):
+    """x as a JSON number, or None (null) when it is not finite."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _maybe_scalar(arr: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(arr[()]) if scalar else arr
 
@@ -282,19 +287,21 @@ def _root_lower_bound(d: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _SupA:
     """Running off-diagonal supremum of a over blocks of pairs fed in order.
 
-    :meth:`result` is bit for bit np.argmax, max and np.count_nonzero of
-    a_solve over every pair fed, but roots are solved, in one call, only
-    for the pairs that survive the prune (see profile).
+    :meth:`result` is bit for bit the pair at np.argmax, the max and
+    np.count_nonzero of a_solve over every pair fed, but roots are solved,
+    in one call, only for the pairs that survive the prune (see profile).
     """
 
     def __init__(self):
         self.n_active = 0
         self.floor = 0.0  # running prune level A
-        self.kept = []  # (flat index, d, u) of the pairs that passed the prune
+        self.first = None  # the first pair fed, the argmax when none is active
+        self.kept = []  # (i, j, d, u) of the pairs that passed the prune
 
-    def add(self, start: int, d: np.ndarray, u: np.ndarray) -> None:
-        """Fold in checked pairs with flat indices start, start + 1, ... and
-        u = sin(ell/2)."""
+    def add(self, i, j, d: np.ndarray, u: np.ndarray) -> None:
+        """Fold in checked pairs (i, j), in order, with u = sin(ell/2)."""
+        if self.first is None:
+            self.first = int(i[0]), int(j[0])
         active = np.flatnonzero(d < 2.0 * u)
         if active.size == 0:
             return
@@ -306,23 +313,23 @@ class _SupA:
         d_act, u_act = d[active], u[active]
         bound = min(float(np.max(_root_lower_bound(d_act, u_act))), A_CAP)
         self.floor = max(self.floor, bound * (1.0 - _BOUND_MARGIN))
-        keep = np.flatnonzero(self._passes(d_act, u_act))
-        self.kept.append((start + active[keep], d_act[keep], u_act[keep]))
+        keep = active[self._passes(d_act, u_act)]
+        self.kept.append((i[keep], j[keep], d[keep], u[keep]))
 
     def _passes(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
         if self.floor <= 0.0:  # no level yet: every pair passes
             return np.ones(d.shape, dtype=bool)
         return _phi(self.floor, u) >= d * (1.0 - _PRUNE_SLACK)
 
-    def result(self) -> tuple[int, float, int]:
-        """Flat argmax, maximum and active count over every pair fed."""
+    def result(self) -> tuple[tuple[int, int], float, int]:
+        """First maximal pair, maximum and active count over every pair fed."""
         if self.n_active == 0:
-            return 0, 0.0, 0
-        index, d, u = (np.concatenate(parts) for parts in zip(*self.kept))
+            return self.first, 0.0, 0
+        i, j, d, u = (np.concatenate(parts) for parts in zip(*self.kept))
         keep = self._passes(d, u)  # again, at the final floor
         roots = _a_root(d[keep], u[keep])
         k = int(np.argmax(roots))
-        return int(index[keep][k]), float(roots[k]), self.n_active
+        return (int(i[keep][k]), int(j[keep][k])), float(roots[k]), self.n_active
 
 
 def a_diagonal(k):
@@ -365,47 +372,34 @@ def _require_canonical(frame: CurveFrame) -> None:
         )
 
 
-def _row_starts(n: int) -> np.ndarray:
-    """Flat index of each row's first pair in np.triu_indices(n, k=1) order;
-    the last entry is the pair count."""
-    return np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-
-
-def _pair_at(n: int, k: int) -> tuple[int, int]:
-    """The vertex pair (i, j) at flat index k of np.triu_indices(n, k=1)."""
-    starts = _row_starts(n)
-    i = int(np.searchsorted(starts, k, side="right")) - 1
-    return i, i + 1 + k - int(starts[i])
-
-
-def _block_rows(n: int) -> list[tuple[int, int, int]]:
-    """The row blocks ``(start, i0, i1)`` of the pairs of an n-gon: rows
-    [i0, i1) holding at least _BLOCK_PAIRS pairs (or the rest), tiling
-    [0, n - 1) in order (row n - 1 holds no pairs); start is the flat index
-    of the block's first pair."""
-    starts = _row_starts(n)[:-1]  # rows 0 .. n - 2
+def _block_rows(n: int) -> list[tuple[int, int]]:
+    """The row blocks ``(i0, i1)`` of the pairs of an n-gon: rows [i0, i1)
+    holding at least _BLOCK_PAIRS pairs (or the rest), tiling [0, n - 1) in
+    order (row n - 1 holds no pairs)."""
+    counts = np.arange(n - 1, 0, -1)  # pairs in rows 0 .. n - 2
+    starts = np.cumsum(counts) - counts  # offset of each row's first pair
     rows, i0 = [], 0
     while i0 < n - 1:
         i1 = max(int(np.searchsorted(starts, starts[i0] + _BLOCK_PAIRS)), i0 + 1)
-        rows.append((int(starts[i0]), i0, i1))
+        rows.append((i0, i1))
         i0 = i1
     return rows
 
 
-def _pair_block(frame: CurveFrame, start: int, i0: int, i1: int):
-    """The pairs of rows [i0, i1) of a canonical frame, whose first pair has
-    flat index ``start``, as ``(start, i_idx, j_idx, d, ell, u)``: the
-    pairs, the chords, the shorter arcs clipped to pi (the L/2 rounding
-    hair) and u = sin(ell/2), past the domain check of a_solve."""
+def _pair_block(frame: CurveFrame, i0: int, i1: int):
+    """The pairs of rows [i0, i1) of a canonical frame as
+    ``(i_idx, j_idx, d, ell, u)``: the pairs, the chords, the shorter arcs
+    clipped to pi (the L/2 rounding hair) and u = sin(ell/2), past the
+    domain check of a_solve."""
     i_idx, j_idx, d, ell = all_pairs_chord_arc(frame, i0, i1)
     ell = np.minimum(ell, math.pi)
     _validate_pairs(d, ell)
-    return start, i_idx, j_idx, d, ell, np.sin(0.5 * ell)
+    return i_idx, j_idx, d, ell, np.sin(0.5 * ell)
 
 
 def _pair_blocks(frame: CurveFrame):
     """Every vertex pair of a canonical frame, one :func:`_pair_block` per
-    row block of :func:`_block_rows`, in flat pair order."""
+    row block of :func:`_block_rows`, in np.triu_indices order."""
     return (_pair_block(frame, *rows) for rows in _block_rows(frame.n))
 
 
@@ -426,7 +420,7 @@ def _fold_min_z(best, block, e):
     Z = d - f(l, t - t_bar) = d - 2u arctan(z)/z, z = e u, from the block's
     own u; e = 0 gives the round circle's Z = d - 2u, bit for bit.
     """
-    _, i_idx, j_idx, d, _, u = block
+    i_idx, j_idx, d, _, u = block
     z_cmp = d - 2.0 * u * _arctan_ratio(e * u)
     k = int(np.argmin(z_cmp))
     if z_cmp[k] < best[0]:
@@ -517,12 +511,11 @@ def profile(
     sup = _SupA()
     best_z = (math.inf, None)
     for block in _pair_blocks(frame):
-        start, _, _, d, _, u = block
-        sup.add(start, d, u)
+        i_idx, j_idx, d, _, u = block
+        sup.add(i_idx, j_idx, d, u)
         if e is not None:
             best_z = _fold_min_z(best_z, block, e)
-    im, off_max, n_active = sup.result()
-    summary = _summary(frame, _pair_at(frame.n, im), off_max, n_active)
+    summary = _summary(frame, *sup.result())
     if e is None:
         e = _decay(t, summary.t_bar)
         for block in _pair_blocks(frame):
@@ -615,18 +608,19 @@ def _fork_map(fn, tasks, workers: int):
 
 def _table_block(frame: CurveFrame, render, rows):
     """One row block of the ratio table: ``render(ell, d, a)`` of the block,
-    and the flat index of its first argmax of a, its maximum and its
-    nonzero count."""
-    start, _, _, d, ell, _ = _pair_block(frame, *rows)
+    and its first pair with the maximal a, that maximum and its nonzero
+    count."""
+    i_idx, j_idx, d, ell, _ = _pair_block(frame, *rows)
     a = a_solve(d, ell)
     k = int(np.argmax(a))
-    return render(ell, d, a), (start + k, float(a[k]), int(np.count_nonzero(a)))
+    pair = int(i_idx[k]), int(j_idx[k])
+    return render(ell, d, a), (pair, float(a[k]), int(np.count_nonzero(a)))
 
 
 def ratio_table(frame: CurveFrame, render, write) -> ProfileSummary:
     """The profile without Z, with the ratio a of every vertex pair, one row
     block at a time: ``render(ell, d, a)`` turns a block into what ``write``
-    takes, and ``write`` gets the rendered blocks in flat pair order.
+    takes, and ``write`` gets the rendered blocks in np.triu_indices order.
 
     The blocks are those of the profile sweep, ell clipped to pi, and a is
     a_solve over each block, so memory stays O(N + block). With more than
@@ -645,14 +639,14 @@ def ratio_table(frame: CurveFrame, render, write) -> ProfileSummary:
         blocks = _fork_map(unit, rows, workers)
     else:
         blocks = (unit(r) for r in rows)
-    im, off_max, n_active = 0, 0.0, 0
+    pair_off, off_max, n_active = (0, 1), 0.0, 0  # (0, 1): the first pair
     with contextlib.closing(blocks):  # a failing write stops the workers too
-        for rendered, (k, a_max, active) in blocks:
+        for rendered, (pair, a_max, active) in blocks:
             write(rendered)
             if a_max > off_max:  # strict: ties go to the earlier block
-                im, off_max = k, a_max
+                pair_off, off_max = pair, a_max
             n_active += active
-    return _summary(frame, _pair_at(frame.n, im), off_max, n_active)
+    return _summary(frame, pair_off, off_max, n_active)
 
 
 # -- identity and inequality sweeps ------------------------------------------
@@ -678,15 +672,12 @@ class IdentityReport:
         return self.max_residual <= tol and self.max_violation <= tol
 
     def to_json_dict(self) -> dict:
-        def clean(x: float):
-            return float(x) if math.isfinite(x) else None
-
         return {
             "name": self.name,
             "grid": self.grid,
-            "max_residual": clean(self.max_residual),
-            "max_violation": clean(self.max_violation),
-            "tolerance": clean(self.tolerance),
+            "max_residual": _json_float(self.max_residual),
+            "max_violation": _json_float(self.max_violation),
+            "tolerance": _json_float(self.tolerance),
             "pass": self.passed,
         }
 
@@ -722,60 +713,54 @@ def _l_full(x, t):
     return 4.0 * f_xx(x, t) + fv - fp * x + 4.0 * (fp / x) * acos2 - f_t(x, t)
 
 
-def _grid(nx, nt, x_lo, x_hi, t_span):
+# The time offsets the operator sweeps cover, and the band that keeps the
+# x grids off the removable 1/sin(x/2) factor at 0 and 2*pi.
+_T_SPAN = (-5.0, 5.0)
+_T_TEXT = f"t in [{_T_SPAN[0]:g}, {_T_SPAN[1]:g}]"
+_X_MARGIN = 0.01
+
+# Points of the one-dimensional g and h'' sweeps.
+_LINE_POINTS = 10_000
+
+
+def _grid(nx, nt, x_lo, x_hi):
     x = np.linspace(x_lo, x_hi, nx)
-    t = np.linspace(t_span[0], t_span[1], nt)
+    t = np.linspace(_T_SPAN[0], _T_SPAN[1], nt)
     return np.meshgrid(x, t, indexing="ij")
 
 
-def check_Ltilde(
-    nx: int = 400,
-    nt: int = 101,
-    t_span: tuple[float, float] = (-5.0, 5.0),
-    margin: float = 0.01,
-) -> IdentityReport:
-    """Sweep |L-tilde f| over x in (0, 2*pi), t in t_span.
+def check_Ltilde(nx: int = 400, nt: int = 101) -> IdentityReport:
+    """Sweep |L-tilde f| over x in (0, 2*pi), t in [-5, 5].
 
     The operator has a removable 1/sin(x/2) factor at both ends, so the grid
-    keeps a ``margin`` band away from 0 and 2*pi. Closed-form derivatives
+    keeps a band of _X_MARGIN away from 0 and 2*pi. Closed-form derivatives
     throughout; tolerance 1e-9.
     """
-    X, T = _grid(nx, nt, margin, TWO_PI - margin, t_span)
+    X, T = _grid(nx, nt, _X_MARGIN, TWO_PI - _X_MARGIN)
     resid = np.max(np.abs(_ltilde(X, T)))
-    grid = (
-        f"x in [{margin:.3g}, 2*pi - {margin:.3g}] x {nx}, "
-        f"t in [{t_span[0]:g}, {t_span[1]:g}] x {nt}"
-    )
+    grid = f"x in [{_X_MARGIN:.3g}, 2*pi - {_X_MARGIN:.3g}] x {nx}, {_T_TEXT} x {nt}"
     return _report("L-tilde annihilates f", grid, resid, 0.0, 1e-9)
 
 
-def check_L_dominates(
-    nx: int = 400,
-    nt: int = 101,
-    t_span: tuple[float, float] = (-5.0, 5.0),
-) -> IdentityReport:
-    """Verify L f >= L-tilde f (hence L f >= 0) on x in (0, pi].
+def check_L_dominates(nx: int = 400, nt: int = 101) -> IdentityReport:
+    """Verify L f >= L-tilde f (hence L f >= 0) on x in (0, pi], t in [-5, 5].
 
     The gap is the tangent-line estimate of the convex h(v) = arccos(v)^2 at
     v = cos(x/2); the sweep also checks h'' >= 0 on [0, 1 - 1e-6] directly.
     """
-    X, T = _grid(nx, nt, 0.01, math.pi, t_span)
+    X, T = _grid(nx, nt, _X_MARGIN, math.pi)
     lf = _l_full(X, T)
     gap = lf - _ltilde(X, T)
-    hv = h_second(np.linspace(0.0, 1.0 - 1e-6, 10_000))
+    hv = h_second(np.linspace(0.0, 1.0 - 1e-6, _LINE_POINTS))
     violation = max(-float(np.min(gap)), -float(np.min(lf)), -float(np.min(hv)))
-    grid = f"x in (0, pi] x {nx}, t in [{t_span[0]:g}, {t_span[1]:g}] x {nt}"
+    grid = f"x in (0, pi] x {nx}, {_T_TEXT} x {nt}"
     return _report("L dominates L-tilde", grid, 0.0, violation, 1e-10)
 
 
-def check_f_shape(
-    nx: int = 400,
-    nt: int = 101,
-    t_span: tuple[float, float] = (-5.0, 5.0),
-) -> IdentityReport:
+def check_f_shape(nx: int = 400, nt: int = 101) -> IdentityReport:
     """Shape of the barrier: increasing in t, concave in x, symmetric about
     pi, and vanishing as t -> -inf (max f(x, -20) < 1.6e-8)."""
-    X, T = _grid(nx, nt, 0.01, TWO_PI - 0.01, t_span)
+    X, T = _grid(nx, nt, _X_MARGIN, TWO_PI - _X_MARGIN)
     x_line = X[:, 0]
     fv = f_eval(X, T)
     mirror = f_eval(TWO_PI - X, T)
@@ -785,32 +770,34 @@ def check_f_shape(
         float(np.max(f_xx(X, T))),  # f'' must be < 0
         float(np.max(f_eval(x_line, -20.0))) - 1.6e-8,
     )
-    grid = f"x in (0, 2*pi) x {nx}, t in [{t_span[0]:g}, {t_span[1]:g}] x {nt}"
+    grid = f"x in (0, 2*pi) x {nx}, {_T_TEXT} x {nt}"
     return _report("f shape (monotone/concave/symmetric)", grid, sym, violation, 1e-12)
 
 
-def check_g_positive(n: int = 10000) -> IdentityReport:
+def check_g_positive() -> IdentityReport:
     """g(z) > 0 for z > 0, anchored by the exact value g(1) = pi/4 - 1/2.
 
     Sweeps a log-spaced grid spanning the series branch, the direct branch,
     and the saturation regime.
     """
-    z = np.logspace(-8.0, 3.0, n)
+    z = np.logspace(-8.0, 3.0, _LINE_POINTS)
     residual = abs(g_eval(1.0) - (math.pi / 4.0 - 0.5))
     violation = -float(np.min(g_eval(z)))
-    return _report("g positivity", f"z in [1e-8, 1e3] log x {n}", residual, violation, 1e-12)
+    grid = f"z in [1e-8, 1e3] log x {_LINE_POINTS}"
+    return _report("g positivity", grid, residual, violation, 1e-12)
 
 
-def check_h_convex(n: int = 10000) -> IdentityReport:
+def check_h_convex() -> IdentityReport:
     """h(v) = arccos(v)^2 is convex on [0, 1): h'' >= 0, with h''(0) = 2.
 
     Near v = 1 the closed form cancels to its finite limit 2/3; the sweep
     stops at 1 - 1e-6 where roundoff still leaves a positive value.
     """
-    v = np.linspace(0.0, 1.0 - 1e-6, n)
+    v = np.linspace(0.0, 1.0 - 1e-6, _LINE_POINTS)
     residual = abs(h_second(0.0) - 2.0)
     violation = -float(np.min(h_second(v)))
-    return _report("h convexity", f"v in [0, 1-1e-6] x {n}", residual, violation, 1e-12)
+    grid = f"v in [0, 1-1e-6] x {_LINE_POINTS}"
+    return _report("h convexity", grid, residual, violation, 1e-12)
 
 
 # -- analytic test curves and the small-separation limit ---------------------
@@ -868,29 +855,26 @@ class AnalyticEllipse:
         )
 
 
-def check_small_sep_taylor(
-    curve: AnalyticEllipse,
-    center: float,
-    eps_values: np.ndarray | None = None,
-) -> IdentityReport:
+# Arc windows of the small-separation check: eps = 2^-3 ... 2^-10.
+_TAYLOR_EPS = 2.0 ** -np.arange(3, 11)
+
+
+def check_small_sep_taylor(curve: AnalyticEllipse, center: float) -> IdentityReport:
     """Small-separation limits at one point of an analytic curve.
 
     For arc windows of length eps centered (in arclength) at ``center``,
     the chord d and arc l = eps must satisfy (l - d)/l^3 -> k^2/24 with
-    observed order >= 1 in eps, and a_solve(d, l) -> a_diagonal(k). Windows
-    default to eps = 2^-3 ... 2^-10. Points whose Taylor gap sits below the
+    observed order >= 1 in eps, and a_solve(d, l) -> a_diagonal(k), over
+    the windows _TAYLOR_EPS. Points whose Taylor gap sits below the
     double-precision floor of the chord computation are excluded from the
     order fit.
     """
-    if eps_values is None:
-        eps_values = 2.0 ** -np.arange(3, 11)
-    eps_values = np.asarray(eps_values, dtype=float)
     k0 = curve.curvature(center)
     target = k0 * k0 / 24.0
 
     gaps = []
     a_vals = []
-    for eps in eps_values:
+    for eps in _TAYLOR_EPS:
         p = curve.point(curve.param_at_arc(center, +0.5 * eps))
         q = curve.point(curve.param_at_arc(center, -0.5 * eps))
         d = float(np.hypot(*(p - q)))
@@ -899,16 +883,16 @@ def check_small_sep_taylor(
     gaps = np.asarray(gaps)
 
     a_err = abs(a_vals[-1] - a_diagonal(k0))
-    floor = 100.0 * 1e-15 / eps_values**3  # chord roundoff over l^3
+    floor = 100.0 * 1e-15 / _TAYLOR_EPS**3  # chord roundoff over l^3
     usable = gaps > floor
     if np.count_nonzero(usable) >= 3:
-        slope = np.polyfit(np.log(eps_values[usable]), np.log(gaps[usable]), 1)[0]
+        slope = np.polyfit(np.log(_TAYLOR_EPS[usable]), np.log(gaps[usable]), 1)[0]
         order = float(slope)
     else:
         order = math.inf  # gap already at roundoff: converged faster than fit
     grid = (
-        f"eps in [{eps_values.min():.3g}, {eps_values.max():.3g}] x "
-        f"{eps_values.size}, center={center:.4g}, k={k0:.6g}"
+        f"eps in [{_TAYLOR_EPS.min():.3g}, {_TAYLOR_EPS.max():.3g}] x "
+        f"{_TAYLOR_EPS.size}, center={center:.4g}, k={k0:.6g}"
     )
     return _report(
         "small-separation Taylor limit", grid, a_err, 1.0 - order, 1e-2

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import ProfileSummary, _fork_map, _pool_size, profile
+from .comparison import ProfileSummary, _fork_map, _json_float, _pool_size, profile
 from .dynamics import KIND_NORMALIZED, Snapshot, Trajectory
 from .errors import DomainError, WrongRunKind
 from .geometry import CurveFrame, cyclic_shift
@@ -33,10 +33,6 @@ from .geometry import CurveFrame, cyclic_shift
 TWO_PI = 2.0 * math.pi
 
 log = logging.getLogger(__name__)
-
-
-def _json_float(x: float):
-    return float(x) if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)

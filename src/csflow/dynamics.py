@@ -166,7 +166,6 @@ class Trajectory:
     kind: str
     snapshots: list[Snapshot]
     termination: str
-    config: FlowConfig | None = None
     dense: DenseSeries | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -423,7 +422,6 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
         kind=config.kind,
         snapshots=snapshots,
         termination=termination,
-        config=config,
         dense=dense,
     )
 
@@ -465,7 +463,6 @@ def normalize_trajectory(unnorm: Trajectory) -> tuple[Trajectory, ClockMap]:
         kind=KIND_NORMALIZED,
         snapshots=snapshots,
         termination=unnorm.termination,
-        config=unnorm.config,
         dense=dense,
     )
     return traj, clock
@@ -503,7 +500,6 @@ def recover_unnormalized(norm: Trajectory, L0: float) -> tuple[Trajectory, Clock
         kind=KIND_UNNORMALIZED,
         snapshots=snapshots,
         termination=norm.termination,
-        config=norm.config,
         dense=dense,
     )
     return traj, clock

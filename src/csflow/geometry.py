@@ -210,12 +210,12 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     )
 
 
-def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy, tol_ab, tol_cd):
+def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy, tol):
     """Vectorized segment pair intersection with touch tolerance.
 
-    All arguments are same-shape arrays describing segments AB and CD.
-    ``tol_ab``/``tol_cd`` are absolute distance tolerances scaled into the
-    cross products. Touching within tolerance counts as crossing.
+    The coordinates are same-shape arrays describing segments AB and CD.
+    ``tol`` is an absolute distance tolerance scaled into the cross
+    products. Touching within tolerance counts as crossing.
     """
     # signed areas: position of A, B relative to line CD and C, D to line AB
     cdx, cdy = dx - cx, dy - cy
@@ -224,17 +224,16 @@ def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy, tol_ab, tol_cd):
     d2 = cdx * (by - cy) - cdy * (bx - cx)
     d3 = abx * (cy - ay) - aby * (cx - ax)
     d4 = abx * (dy - ay) - aby * (dx - ax)
-    e_cd = tol_cd * np.hypot(cdx, cdy)
-    e_ab = tol_ab * np.hypot(abx, aby)
+    e_cd = tol * np.hypot(cdx, cdy)
+    e_ab = tol * np.hypot(abx, aby)
     straddle_ab = (np.minimum(d1, d2) <= e_cd) & (np.maximum(d1, d2) >= -e_cd)
     straddle_cd = (np.minimum(d3, d4) <= e_ab) & (np.maximum(d3, d4) >= -e_ab)
     # bounding box overlap rules out collinear-but-disjoint pairs
-    pad = np.maximum(tol_ab, tol_cd)
     bb = (
-        (np.minimum(ax, bx) <= np.maximum(cx, dx) + pad)
-        & (np.maximum(ax, bx) >= np.minimum(cx, dx) - pad)
-        & (np.minimum(ay, by) <= np.maximum(cy, dy) + pad)
-        & (np.maximum(ay, by) >= np.minimum(cy, dy) - pad)
+        (np.minimum(ax, bx) <= np.maximum(cx, dx) + tol)
+        & (np.maximum(ax, bx) >= np.minimum(cx, dx) - tol)
+        & (np.minimum(ay, by) <= np.maximum(cy, dy) + tol)
+        & (np.maximum(ay, by) >= np.minimum(cy, dy) - tol)
     )
     return straddle_ab & straddle_cd & bb
 
@@ -244,10 +243,11 @@ def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy, tol_ab, tol_cd):
 _PAIR_CHUNK = 500_000
 
 
-def _edges_and_tolerance(curve: DiscreteCurve, tol: float):
-    """Edge start and end points, edge lengths, and ``tol`` x mean edge length."""
+def _edges_and_tolerance(curve: DiscreteCurve):
+    """Edge start and end points, edge lengths, and EMBED_TOL x mean edge length."""
     h = curve.edge_lengths
-    return curve.vertices, cyclic_shift(curve.vertices, -1), h, tol * float(np.mean(h))
+    abs_tol = EMBED_TOL * float(np.mean(h))
+    return curve.vertices, cyclic_shift(curve.vertices, -1), h, abs_tol
 
 
 def _any_cross(v, edges_to, i, j, abs_tol) -> bool:
@@ -258,17 +258,17 @@ def _any_cross(v, edges_to, i, j, abs_tol) -> bool:
         hit = _segments_cross(
             v[a, 0], v[a, 1], edges_to[a, 0], edges_to[a, 1],
             v[b, 0], v[b, 1], edges_to[b, 0], edges_to[b, 1],
-            abs_tol, abs_tol,
+            abs_tol,
         )
         if np.any(hit):
             return True
     return False
 
 
-def is_embedded(curve: DiscreteCurve, tol: float = EMBED_TOL) -> bool:
+def is_embedded(curve: DiscreteCurve) -> bool:
     """True iff no two non-adjacent edges intersect.
 
-    Two edges closer than ``tol`` times the mean edge length count as
+    Two edges closer than EMBED_TOL times the mean edge length count as
     intersecting. A uniform grid picks the pairs to test: each edge's
     bounding box, padded by that distance, is binned into square cells as
     wide as the longest edge plus twice the padding, so it covers at most
@@ -280,7 +280,7 @@ def is_embedded(curve: DiscreteCurve, tol: float = EMBED_TOL) -> bool:
     every cell large) falls back to all of its pairs, tested in chunks.
     """
     n = curve.n
-    v, edges_to, h, abs_tol = _edges_and_tolerance(curve, tol)
+    v, edges_to, h, abs_tol = _edges_and_tolerance(curve)
     lo = np.minimum(v, edges_to) - abs_tol
     hi = np.maximum(v, edges_to) + abs_tol
     width = float(np.max(h)) + 2.0 * abs_tol
@@ -331,12 +331,12 @@ def is_embedded(curve: DiscreteCurve, tol: float = EMBED_TOL) -> bool:
     return not (pending and crosses(pending))
 
 
-def _is_embedded_all_pairs(curve: DiscreteCurve, tol: float = EMBED_TOL) -> bool:
+def _is_embedded_all_pairs(curve: DiscreteCurve) -> bool:
     """Brute-force oracle for :func:`is_embedded`: tests every non-adjacent
     edge pair, with the same tolerance. O(N^2); only tests call it.
     """
     n = curve.n
-    v, edges_to, _, abs_tol = _edges_and_tolerance(curve, tol)
+    v, edges_to, _, abs_tol = _edges_and_tolerance(curve)
     ii, jj = np.triu_indices(n, k=2)
     keep = ~((ii == 0) & (jj == n - 1))  # edges 0 and N-1 share vertex 0
     return not _any_cross(v, edges_to, ii[keep], jj[keep], abs_tol)

@@ -412,8 +412,9 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
 
     The curve is rescaled to length 2*pi first. Each row block of the table
     is written as :func:`~csflow.comparison.ratio_table` hands it over, so
-    the table is never held whole. A failure deletes the partial table.
-    Returns the summary and the CSV path written.
+    the table is never held whole. A failure deletes the partial table
+    when it is a regular file, and never a device or FIFO such as
+    /dev/null. Returns the summary and the CSV path written.
     """
     curve = load_curve(path)
     if not is_embedded(curve):
@@ -430,6 +431,7 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
             fh.write("l,d,a\n")
             summary = ratio_table(frame, _table_text, fh.write)
     except BaseException:
-        out_csv.unlink(missing_ok=True)  # a truncated table is not a result
+        if out_csv.is_file():  # a truncated table is not a result
+            out_csv.unlink()
         raise
     return summary, out_csv

@@ -79,7 +79,7 @@ def fault_on_blocks(monkeypatch):
 
     def seed(frame, faults):
         rows = comparison._block_rows(frame.n)
-        chords = {b: comparison._pair_block(frame, *rows[b])[3] for b in faults}
+        chords = {b: comparison._pair_block(frame, *rows[b])[2] for b in faults}
         solve = comparison.a_solve
 
         def faulty(d, ell):

@@ -248,10 +248,10 @@ def z_eval(d, ell, t, t_bar):
 
 
 def _min_z(d, ell, t, t_bar):
-    """min Z and its pair index from the profile's fold, over one block."""
+    """min Z and its pair (k, k) from the profile's fold, over one block."""
     u = np.sin(0.5 * ell)
-    flat = np.arange(d.size)
-    block = (0, flat, flat, d, ell, u)
+    k = np.arange(d.size)
+    block = (k, k, d, ell, u)
     return comparison._fold_min_z((math.inf, None), block, comparison._decay(t, t_bar))
 
 
@@ -495,12 +495,16 @@ def _sup_a_all_roots(d, ell):
 
 
 def _blocked_sup_a(d, ell, cuts=()):
-    """_SupA fed the pairs in the blocks that ``cuts`` marks off."""
+    """_SupA fed pair k as (k, k), in the blocks that ``cuts`` marks off;
+    its result with the pair read back as k."""
     sup = _SupA()
+    k = np.arange(d.size)
     bounds = [0, *cuts, d.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        sup.add(a, d[a:b], np.sin(0.5 * ell[a:b]))
-    return sup.result()
+        sup.add(k[a:b], k[a:b], d[a:b], np.sin(0.5 * ell[a:b]))
+    (i, j), a_max, n_active = sup.result()
+    assert i == j
+    return i, a_max, n_active
 
 
 def _profile_all_roots(frame, t_bar=None, t=0.0):
@@ -608,7 +612,7 @@ def test_blocked_min_z_matches_z_eval_bit_for_bit(pairs, t):
     if cuts:  # a tie at the minimum on both sides of the first boundary
         low = int(np.argmin(z_eval(d, ell, t, 0.3)))
         d[[cuts[0] - 1, cuts[0]]], ell[[cuts[0] - 1, cuts[0]]] = d[low], ell[low]
-    flat = np.arange(d.size)
+    k = np.arange(d.size)
     for t_bar in (0.3, -math.inf):
         z = z_eval(d, ell, t, t_bar)
         want = float(z.min()), (int(np.argmin(z)),) * 2
@@ -617,7 +621,7 @@ def test_blocked_min_z_matches_z_eval_bit_for_bit(pairs, t):
         bounds = [0, *cuts, d.size]
         for a, b in zip(bounds[:-1], bounds[1:]):
             u = np.sin(0.5 * ell[a:b])
-            block = (a, flat[a:b], flat[a:b], d[a:b], ell[a:b], u)
+            block = (k[a:b], k[a:b], d[a:b], ell[a:b], u)
             best = comparison._fold_min_z(best, block, e)
         assert best == want
 
@@ -632,13 +636,10 @@ def test_pair_blocks_tile_every_pair_in_order(n, monkeypatch):
         blocks = list(comparison._pair_blocks(frame))
         if block_pairs == 1:
             assert len(blocks) == n - 1  # one row per block
-        starts = [b[0] for b in blocks]
-        assert starts == list(np.cumsum([0] + [b[1].size for b in blocks[:-1]]))
-        got = [np.concatenate(col) for col in list(zip(*blocks))[1:]]
+        got = [np.concatenate(col) for col in zip(*blocks)]
+        assert len(got) == 5
         for have, want in zip(got, (i_idx, j_idx, d, ell, np.sin(0.5 * ell))):
             assert np.array_equal(have, want)
-        for k in (0, n - 2, d.size // 2, d.size - 1):
-            assert comparison._pair_at(n, k) == (i_idx[k], j_idx[k])
 
 
 def test_sup_a_edge_cases_match_all_roots():

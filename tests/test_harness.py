@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,6 +460,19 @@ def test_failed_profile_deletes_its_partial_table(
     assert not out.exists()
     assert pool_starts == ([2] if len(cores) > 1 else [])
     assert multiprocessing.active_children() == []
+
+
+def test_failed_profile_leaves_a_device_in_place(ellipse_path, monkeypatch):
+    def failing_table(frame, render, write):
+        write("partial\n")
+        raise DomainError("seeded table failure")
+
+    unlinked = []
+    monkeypatch.setattr(harness, "ratio_table", failing_table)
+    monkeypatch.setattr(Path, "unlink", lambda self, *a, **k: unlinked.append(self))
+    with pytest.raises(DomainError, match="seeded table failure"):
+        profile_curve(ellipse_path, "/dev/null")
+    assert unlinked == []
 
 
 def test_cli_profile_exits_2_on_a_dead_table_worker(

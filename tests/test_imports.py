@@ -5,8 +5,14 @@ invocation its start-up time whether or not the command needs it. Only the
 implicit solve (scipy.linalg) and the analytic ellipse of the identity suite
 and the ellipse generator (scipy.special, scipy.optimize) use SciPy. The test
 modules import SciPy themselves, so each check runs in its own interpreter.
+
+The benchmark's tracer and workloads name csflow functions from outside the
+package; the last tests load them as the benchmark does, so a function
+deleted from csflow fails here rather than in the benchmark.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -15,6 +21,7 @@ from pathlib import Path
 import csflow
 
 SRC = str(Path(csflow.__file__).resolve().parent.parent)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # prints the sorted names of the loaded scipy modules after the statements
 _PROBE = """
@@ -69,3 +76,32 @@ def test_run_loads_scipy_linalg_only():
     assert "scipy.linalg" in loaded
     for name in ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse"):
         assert name not in loaded
+
+
+# -- the benchmark's view of the package ----------------------------------------
+
+
+def _load_perfbench(name: str, monkeypatch):
+    """perfbench/<name>.py as a module of its own, without writing bytecode
+    beside it or registering it under its name."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    targets = _load_perfbench("spans", monkeypatch).TARGETS
+    assert targets
+    for module, name, _, _ in targets:
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def test_benchmark_workloads_import(monkeypatch):
+    workloads = _load_perfbench("workloads", monkeypatch)
+    names = {"flagship-dumbbell", "flow-n1024", "profile-table"}
+    assert set(workloads.WORKLOADS) == names
