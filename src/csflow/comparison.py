@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CsflowError, DomainError
-from .geometry import CurveFrame, all_pairs_chord_arc
+from .geometry import CurveFrame, _row_blocks, all_pairs_chord_arc
 
 TWO_PI = 2.0 * math.pi
 
@@ -376,14 +376,7 @@ def _block_rows(n: int) -> list[tuple[int, int]]:
     """The row blocks ``(i0, i1)`` of the pairs of an n-gon: rows [i0, i1)
     holding at least _BLOCK_PAIRS pairs (or the rest), tiling [0, n - 1) in
     order (row n - 1 holds no pairs)."""
-    counts = np.arange(n - 1, 0, -1)  # pairs in rows 0 .. n - 2
-    starts = np.cumsum(counts) - counts  # offset of each row's first pair
-    rows, i0 = [], 0
-    while i0 < n - 1:
-        i1 = max(int(np.searchsorted(starts, starts[i0] + _BLOCK_PAIRS)), i0 + 1)
-        rows.append((i0, i1))
-        i0 = i1
-    return rows
+    return _row_blocks(np.arange(n - 1, 0, -1), _BLOCK_PAIRS)
 
 
 def _pair_block(frame: CurveFrame, i0: int, i1: int):

@@ -37,7 +37,10 @@ EMBED_TOL = 1e-12
 
 
 def _as_vertex_array(vertices) -> np.ndarray:
-    arr = np.asarray(vertices, dtype=float)
+    try:
+        arr = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CurveFormatError(f"vertices must be numbers in rows of two: {exc}") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise CurveFormatError(
             f"vertices must have shape (N, 2), got {arr.shape}", shape=list(arr.shape)
@@ -238,16 +241,38 @@ def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy, tol):
     return straddle_ab & straddle_cd & bb
 
 
-# Edge pairs handed to ``_segments_cross`` per call; bounds its temporaries,
-# so a crowded grid cell costs no more memory than the all-pairs test.
+# Pairs per batch of the embeddedness test: each ``_segments_cross`` call
+# takes at most this many, and the sweep expands its candidate pairs in row
+# blocks that pass it by less than one row (fewer than N pairs).
 _PAIR_CHUNK = 500_000
 
 
+def _row_blocks(counts: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Ranges ``(r0, r1)`` of consecutive rows, row r holding ``counts[r]``
+    pairs: each range holds at least ``limit`` pairs (the last one the rest),
+    and the ranges tile ``[0, len(counts))`` in order."""
+    starts = np.cumsum(counts) - counts  # offset of each row's first pair
+    blocks, r0 = [], 0
+    while r0 < len(counts):
+        r1 = max(int(np.searchsorted(starts, starts[r0] + limit)), r0 + 1)
+        blocks.append((r0, r1))
+        r0 = r1
+    return blocks
+
+
+def _row_pairs(rows: np.ndarray, counts: np.ndarray):
+    """The ragged rows as flat index pairs: row ``rows[m]`` pairs with the
+    next ``counts[m]`` indices, ``(r, r + 1 + k)`` for ``k < counts[m]``."""
+    first = np.cumsum(counts) - counts  # offset of each row's first pair
+    i = np.repeat(rows, counts)
+    j = np.arange(int(counts.sum())) + np.repeat(rows + 1 - first, counts)
+    return i, j
+
+
 def _edges_and_tolerance(curve: DiscreteCurve):
-    """Edge start and end points, edge lengths, and EMBED_TOL x mean edge length."""
-    h = curve.edge_lengths
-    abs_tol = EMBED_TOL * float(np.mean(h))
-    return curve.vertices, cyclic_shift(curve.vertices, -1), h, abs_tol
+    """Edge start and end points, and EMBED_TOL x mean edge length."""
+    abs_tol = EMBED_TOL * float(np.mean(curve.edge_lengths))
+    return curve.vertices, cyclic_shift(curve.vertices, -1), abs_tol
 
 
 def _any_cross(v, edges_to, i, j, abs_tol) -> bool:
@@ -269,66 +294,34 @@ def is_embedded(curve: DiscreteCurve) -> bool:
     """True iff no two non-adjacent edges intersect.
 
     Two edges closer than EMBED_TOL times the mean edge length count as
-    intersecting. A uniform grid picks the pairs to test: each edge's
-    bounding box, padded by that distance, is binned into square cells as
-    wide as the longest edge plus twice the padding, so it covers at most
-    2x2 cells. Only non-adjacent pairs that share a cell go to the exact
-    segment test, each pair once. That test reports a crossing only when the
-    padded boxes overlap, and overlapping boxes always share a cell, so the
-    result equals the all-pairs test :func:`_is_embedded_all_pairs`. Work is
-    O(N) when edges are near uniform; a crowded cell (one long edge makes
-    every cell large) falls back to all of its pairs, tested in chunks.
+    intersecting. The segment test reports a crossing only when the edges'
+    bounding boxes, padded by that distance, overlap, so a sweep picks those
+    pairs: sorted by their low end along the longer side of the vertex
+    extent, each box pairs with the later boxes that start before it ends
+    (each pair overlapping along that axis, once), and the non-adjacent
+    pairs that also overlap across it go to the segment test. The result
+    equals the all-pairs test :func:`_is_embedded_all_pairs`.
     """
     n = curve.n
-    v, edges_to, h, abs_tol = _edges_and_tolerance(curve)
+    v, edges_to, abs_tol = _edges_and_tolerance(curve)
     lo = np.minimum(v, edges_to) - abs_tol
     hi = np.maximum(v, edges_to) + abs_tol
-    width = float(np.max(h)) + 2.0 * abs_tol
-    origin = lo.min(axis=0)
-    # the same monotone map bins both box corners, so overlapping boxes
-    # always share a cell even when rounding widens a span to three cells
-    first = np.floor((lo - origin) / width).astype(np.int64)
-    span = np.floor((hi - origin) / width).astype(np.int64) - first
-    stride = int((first[:, 1] + span[:, 1]).max()) + 1
-
-    cells, members = [], []
-    for ox in range(int(span[:, 0].max()) + 1):
-        for oy in range(int(span[:, 1].max()) + 1):
-            e = np.flatnonzero((span[:, 0] >= ox) & (span[:, 1] >= oy))
-            cells.append((first[e, 0] + ox) * stride + first[e, 1] + oy)
-            members.append(e)
-    cells = np.concatenate(cells)
-    order = np.argsort(cells)
-    cells = cells[order]
-    members = np.concatenate(members)[order]
-
-    def crosses(batch):
-        i, j = np.concatenate(batch, axis=1)
-        return _any_cross(v, edges_to, i, j, abs_tol)
-
-    # entries k apart in the sorted list pair up within a cell; no such pair
-    # at offset k means no cell holds more than k edges
-    pending, size = [], 0
-    for k in range(1, cells.size):
-        same = np.flatnonzero(cells[k:] == cells[:-k])
-        if same.size == 0:
-            break
-        a, b = members[same], members[same + k]
+    ax = int(np.ptp(v[:, 1]) > np.ptp(v[:, 0]))  # per column: ptp(v, axis=0) is slow
+    order = np.argsort(lo[:, ax])
+    lo, hi = lo[order], hi[order]
+    # box p (in sorted order) overlaps the boxes p + 1 .. end[p] - 1
+    end = np.searchsorted(lo[:, ax], hi[:, ax], side="right")
+    counts = end - np.arange(1, n + 1)
+    lo_across, hi_across = lo[:, 1 - ax], hi[:, 1 - ax]
+    for r0, r1 in _row_blocks(counts, _PAIR_CHUNK):
+        p, q = _row_pairs(np.arange(r0, r1), counts[r0:r1])
+        keep = (lo_across[q] <= hi_across[p]) & (lo_across[p] <= hi_across[q])
+        a, b = order[p[keep]], order[q[keep]]
         i, j = np.minimum(a, b), np.maximum(a, b)
-        gap = j - i
-        # lowest cell both boxes cover: count each pair in that cell only
-        owner = (
-            np.maximum(first[i, 0], first[j, 0]) * stride
-            + np.maximum(first[i, 1], first[j, 1])
-        )
-        keep = (gap > 1) & (gap < n - 1) & (cells[same] == owner)
-        pending.append(np.stack([i[keep], j[keep]]))
-        size += pending[-1].shape[1]
-        if size >= _PAIR_CHUNK:
-            if crosses(pending):
-                return False
-            pending, size = [], 0
-    return not (pending and crosses(pending))
+        keep = (j - i > 1) & (j - i < n - 1)
+        if np.any(keep) and _any_cross(v, edges_to, i[keep], j[keep], abs_tol):
+            return False
+    return True
 
 
 def _is_embedded_all_pairs(curve: DiscreteCurve) -> bool:
@@ -336,7 +329,7 @@ def _is_embedded_all_pairs(curve: DiscreteCurve) -> bool:
     edge pair, with the same tolerance. O(N^2); only tests call it.
     """
     n = curve.n
-    v, edges_to, _, abs_tol = _edges_and_tolerance(curve)
+    v, edges_to, abs_tol = _edges_and_tolerance(curve)
     ii, jj = np.triu_indices(n, k=2)
     keep = ~((ii == 0) & (jj == n - 1))  # edges 0 and N-1 share vertex 0
     return not _any_cross(v, edges_to, ii[keep], jj[keep], abs_tol)
@@ -352,10 +345,7 @@ def all_pairs_chord_arc(frame: CurveFrame, i0: int = 0, i1: int | None = None):
     """
     n = frame.n
     rows = np.arange(i0, n if i1 is None else i1)
-    counts = n - 1 - rows
-    first = np.cumsum(counts) - counts  # offset of each row's first pair
-    i_idx = np.repeat(rows, counts)
-    j_idx = np.arange(int(counts.sum())) + np.repeat(rows + 1 - first, counts)
+    i_idx, j_idx = _row_pairs(rows, n - 1 - rows)
     x, y, s = frame.vertices[:, 0], frame.vertices[:, 1], frame.arclength
     d = np.hypot(x[j_idx] - x[i_idx], y[j_idx] - y[i_idx])
     arc = s[j_idx] - s[i_idx]

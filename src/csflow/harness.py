@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -70,6 +71,8 @@ _CHECKS = {
     "l2-curvature-bound": lambda m: diagnostics.check_l2_bound(m),
 }
 ALL_CHECKS = tuple(_CHECKS)
+
+_SNAPSHOT_NAME = re.compile(r"curve_\d{6,}\.json")
 
 _FOURIER_AMPLITUDE = 0.15
 _FOURIER_ATTEMPTS = 100
@@ -338,7 +341,9 @@ def write_series_csv(result: RunResult, path: Path) -> None:
 
 
 def persist_run(result: RunResult) -> Path:
-    """Write config echo, snapshot curves, series.csv, and check reports."""
+    """Write config echo, snapshot curves, series.csv, and check reports.
+    Snapshot curves and reports of known checks that this run did not write
+    are removed from a reused directory; no other file is touched."""
     outdir = run_directory(result.spec)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -359,17 +364,24 @@ def persist_run(result: RunResult) -> Path:
 
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    for snap in result.trajectory.snapshots:
-        save_curve(snap.curve, snapdir / f"curve_{snap.step:06d}.json")
+    curves = {f"curve_{s.step:06d}.json": s.curve for s in result.trajectory.snapshots}
+    for path in snapdir.iterdir():
+        if _SNAPSHOT_NAME.fullmatch(path.name) and path.name not in curves:
+            path.unlink()
+    for name, curve in curves.items():
+        save_curve(curve, snapdir / name)
 
     write_series_csv(result, outdir / "series.csv")
 
     reportdir = outdir / "reports"
     reportdir.mkdir(exist_ok=True)
-    for name, report in result.reports.items():
-        (reportdir / f"{name}.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2) + "\n"
-        )
+    for name in ALL_CHECKS:
+        path = reportdir / f"{name}.json"
+        if name in result.reports:
+            doc = result.reports[name].to_json_dict()
+            path.write_text(json.dumps(doc, indent=2) + "\n")
+        else:
+            path.unlink(missing_ok=True)
     return outdir
 
 

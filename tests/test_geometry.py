@@ -268,7 +268,7 @@ def slot(k, factor, rng=None):
 
 def half_disc(n):
     """Half circle closed by its diameter: one edge far longer than the rest,
-    so the grid puts every edge in the same few cells."""
+    whose bounding box spans every other edge along x."""
     t = np.linspace(0.0, math.pi, n)
     return DiscreteCurve(np.column_stack([np.cos(t), np.sin(t)]))
 
@@ -317,7 +317,7 @@ def embed_cases(draw):
 def test_grid_embeddedness_matches_all_pairs_oracle(curve, chunk):
     expected = _is_embedded_all_pairs(curve)
     assert is_embedded(curve) == expected
-    # pairs tested in small chunks, as in a crowded cell at large N
+    # pairs expanded and tested in small chunks, as when many boxes overlap
     with mock.patch.object(geometry, "_PAIR_CHUNK", chunk):
         assert is_embedded(curve) == expected
 
@@ -326,7 +326,7 @@ def test_grid_embeddedness_matches_all_pairs_oracle(curve, chunk):
 @given(curve=embed_cases())
 def test_grid_sends_every_overlapping_pair_once(curve):
     """The segment test only reports pairs whose padded bounding boxes
-    overlap; the grid must send each such pair, once, and no adjacent pair."""
+    overlap; the sweep must send exactly those non-adjacent pairs, each once."""
     sent = []
 
     def record(v, edges_to, i, j, abs_tol):
@@ -345,7 +345,12 @@ def test_grid_sends_every_overlapping_pair_once(curve):
     overlap &= ~((ii == 0) & (jj == n - 1))
     assert len(sent) == len(set(sent))
     assert all(1 < j - i < n - 1 for i, j in sent)
-    assert set(zip(ii[overlap].tolist(), jj[overlap].tolist())) <= set(sent)
+    assert set(zip(ii[overlap].tolist(), jj[overlap].tolist())) == set(sent)
+
+
+def vertical_slot(k, factor):
+    """:func:`slot` turned upright: its long side runs along y."""
+    return DiscreteCurve(slot(k, factor).vertices[:, ::-1].copy())
 
 
 def test_slot_gap_straddles_the_touch_tolerance():
@@ -368,10 +373,13 @@ def test_slot_gap_straddles_the_touch_tolerance():
         lambda: gen_fourier(seed=3, n=1024),
         lambda: gen_fourier(seed=4, n=1024),
         figure_eight,
+        lambda: half_disc(1024),
+        lambda: vertical_slot(511, 2.0),
     ],
     ids=[
         "circle", "ellipse", "dumbbell-0.05", "dumbbell-0.2",
         "fourier-1", "fourier-2", "fourier-3", "fourier-4", "figure-eight",
+        "half-disc", "vertical-slot",
     ],
 )
 def test_grid_embeddedness_matches_oracle_on_stock_curves(make):
@@ -402,13 +410,34 @@ def test_grid_tests_few_pairs_on_uniform_curves(monkeypatch):
 
 
 def test_crowded_cell_is_tested_in_bounded_chunks(monkeypatch):
+    # the diameter's box spans every edge along x; few boxes overlap across
     curve = half_disc(400)
     monkeypatch.setattr(geometry, "_PAIR_CHUNK", 5000)
     result, sizes = _pairs_per_call(monkeypatch, curve)
     assert result == _is_embedded_all_pairs(curve)
-    assert max(sizes) <= 5000
-    # one cell holds nearly every edge, and each pair is tested once
-    assert curve.n * (curve.n - 3) // 2 * 0.9 < sum(sizes) <= curve.n * (curve.n - 3) // 2
+    assert sum(sizes) < 8 * curve.n
+    # facing chains send more pairs than one chunk holds
+    curve = vertical_slot(511, 2.0)
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1000)
+    result, sizes = _pairs_per_call(monkeypatch, curve)
+    assert result == _is_embedded_all_pairs(curve)
+    assert max(sizes) <= 1000 < sum(sizes) < 8 * curve.n
+
+
+def test_sweep_runs_along_the_longer_side(monkeypatch):
+    """Swept across its short side, the upright slot would pair every box
+    with every other: several hundred batches of 1000 pairs, not a few."""
+    calls = []
+    inner = geometry._any_cross
+
+    def spy(*args):
+        calls.append(args[2].size)
+        return inner(*args)
+
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1000)
+    monkeypatch.setattr(geometry, "_any_cross", spy)
+    assert is_embedded(vertical_slot(511, 2.0))
+    assert len(calls) < 8
 
 
 # -- resampling and scaling ---------------------------------------------------

@@ -573,6 +573,44 @@ def test_cli_error_contract(fig8_path, capsys):
     }
 
 
+@pytest.mark.parametrize("bad_row", [["a", 1.0], [0.5, 1.0, 2.0]], ids=["string", "ragged"])
+@pytest.mark.parametrize("command", ["profile", "run"])
+def test_cli_reports_bad_numbers_in_a_curve_file(bad_row, command, tmp_path, capsys):
+    rows = gen_circle(1.0, 16).vertices.tolist()
+    rows[3] = bad_row
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": rows}))
+    if command == "profile":
+        argv = ["profile", str(path), "--out", str(tmp_path / "t.csv")]
+    else:
+        argv = ["run", "--input", str(path), "--no-persist"]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2  # not 1: no check failed
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["kind"] == "CurveFormatError"
+
+
+def test_reused_run_directory_keeps_no_stale_files(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    argv = ["run", "--n", "64", "--snapshot-every", "100", "--outdir", str(outdir)]
+    assert cli.main([*argv, "--t-end", "0.5"]) == 0
+    assert len(list((outdir / "reports").iterdir())) == len(ALL_CHECKS)
+    assert len(list((outdir / "snapshots").iterdir())) == 6
+    (outdir / "reports" / "notes.json").write_text("{}\n")
+    (outdir / "snapshots" / "curve_final.json").write_text("{}\n")
+    assert cli.main([*argv, "--t-end", "0.2", "--check", "none"]) == 0
+    capsys.readouterr()
+    config = json.loads((outdir / "config.json").read_text())
+    assert config["checks_run"] == []
+    assert [p.name for p in (outdir / "reports").iterdir()] == ["notes.json"]
+    snaps = sorted(p.name for p in (outdir / "snapshots").iterdir())
+    assert snaps == [
+        "curve_000000.json", "curve_000100.json", "curve_000200.json", "curve_final.json"
+    ]
+
+
 def test_cli_run_reports_an_unwritable_run_directory(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n")
