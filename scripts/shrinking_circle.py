@@ -26,7 +26,6 @@ def radius_error(scheme: str, dt: float, n: int, tau_end: float) -> float:
             dt=dt,
             t_end=tau_end,
             snapshot_every=10000,
-            embed_check_every=10000,
         ),
         checks=(),
     )

@@ -96,12 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--snapshot-every", type=int, default=defaults.snapshot_every, metavar="STEPS"
     )
     p_run.add_argument(
-        "--embed-check-every",
-        type=int,
-        default=defaults.embed_check_every,
-        metavar="STEPS",
-    )
-    p_run.add_argument(
         "--check",
         action="append",
         choices=list(ALL_CHECKS) + ["all", "none"],
@@ -115,8 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify-identities", help="closed-form check suite")
-    p_ver.add_argument("--grid-x", type=int, default=400, help="x resolution")
-    p_ver.add_argument("--grid-t", type=int, default=101, help="t resolution")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_prof = sub.add_parser("profile", help="chord/arc profile of a curve file")
@@ -181,7 +173,7 @@ def print_run(result: RunResult) -> None:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify_identities(args.grid_x, args.grid_t)
+    reports = verify_identities()
     width = max(len(r.name) for r in reports)
     for r in reports:
         status = "pass" if r.passed else "FAIL"

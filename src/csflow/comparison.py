@@ -712,48 +712,52 @@ _T_SPAN = (-5.0, 5.0)
 _T_TEXT = f"t in [{_T_SPAN[0]:g}, {_T_SPAN[1]:g}]"
 _X_MARGIN = 0.01
 
-# Points of the one-dimensional g and h'' sweeps.
+# Points of the one-dimensional g and h'' sweeps, and of the operator
+# sweeps' x by t grid.
 _LINE_POINTS = 10_000
+_GRID_X = 400
+_GRID_T = 101
 
 
-def _grid(nx, nt, x_lo, x_hi):
-    x = np.linspace(x_lo, x_hi, nx)
-    t = np.linspace(_T_SPAN[0], _T_SPAN[1], nt)
-    return np.meshgrid(x, t, indexing="ij")
+def _grid(x_lo, x_hi, x_text):
+    """The operator sweeps' x by t grid, and its description."""
+    x = np.linspace(x_lo, x_hi, _GRID_X)
+    t = np.linspace(_T_SPAN[0], _T_SPAN[1], _GRID_T)
+    X, T = np.meshgrid(x, t, indexing="ij")
+    return X, T, f"{x_text} x {_GRID_X}, {_T_TEXT} x {_GRID_T}"
 
 
-def check_Ltilde(nx: int = 400, nt: int = 101) -> IdentityReport:
+def check_Ltilde() -> IdentityReport:
     """Sweep |L-tilde f| over x in (0, 2*pi), t in [-5, 5].
 
     The operator has a removable 1/sin(x/2) factor at both ends, so the grid
     keeps a band of _X_MARGIN away from 0 and 2*pi. Closed-form derivatives
     throughout; tolerance 1e-9.
     """
-    X, T = _grid(nx, nt, _X_MARGIN, TWO_PI - _X_MARGIN)
+    x_text = f"x in [{_X_MARGIN:.3g}, 2*pi - {_X_MARGIN:.3g}]"
+    X, T, grid = _grid(_X_MARGIN, TWO_PI - _X_MARGIN, x_text)
     resid = np.max(np.abs(_ltilde(X, T)))
-    grid = f"x in [{_X_MARGIN:.3g}, 2*pi - {_X_MARGIN:.3g}] x {nx}, {_T_TEXT} x {nt}"
     return _report("L-tilde annihilates f", grid, resid, 0.0, 1e-9)
 
 
-def check_L_dominates(nx: int = 400, nt: int = 101) -> IdentityReport:
+def check_L_dominates() -> IdentityReport:
     """Verify L f >= L-tilde f (hence L f >= 0) on x in (0, pi], t in [-5, 5].
 
     The gap is the tangent-line estimate of the convex h(v) = arccos(v)^2 at
     v = cos(x/2); the sweep also checks h'' >= 0 on [0, 1 - 1e-6] directly.
     """
-    X, T = _grid(nx, nt, _X_MARGIN, math.pi)
+    X, T, grid = _grid(_X_MARGIN, math.pi, "x in (0, pi]")
     lf = _l_full(X, T)
     gap = lf - _ltilde(X, T)
     hv = h_second(np.linspace(0.0, 1.0 - 1e-6, _LINE_POINTS))
     violation = max(-float(np.min(gap)), -float(np.min(lf)), -float(np.min(hv)))
-    grid = f"x in (0, pi] x {nx}, {_T_TEXT} x {nt}"
     return _report("L dominates L-tilde", grid, 0.0, violation, 1e-10)
 
 
-def check_f_shape(nx: int = 400, nt: int = 101) -> IdentityReport:
+def check_f_shape() -> IdentityReport:
     """Shape of the barrier: increasing in t, concave in x, symmetric about
     pi, and vanishing as t -> -inf (max f(x, -20) < 1.6e-8)."""
-    X, T = _grid(nx, nt, _X_MARGIN, TWO_PI - _X_MARGIN)
+    X, T, grid = _grid(_X_MARGIN, TWO_PI - _X_MARGIN, "x in (0, 2*pi)")
     x_line = X[:, 0]
     fv = f_eval(X, T)
     mirror = f_eval(TWO_PI - X, T)
@@ -763,7 +767,6 @@ def check_f_shape(nx: int = 400, nt: int = 101) -> IdentityReport:
         float(np.max(f_xx(X, T))),  # f'' must be < 0
         float(np.max(f_eval(x_line, -20.0))) - 1.6e-8,
     )
-    grid = f"x in (0, 2*pi) x {nx}, {_T_TEXT} x {nt}"
     return _report("f shape (monotone/concave/symmetric)", grid, sym, violation, 1e-12)
 
 

@@ -77,11 +77,10 @@ class FlowConfig:
     t_end: float = 6.0
     resample_every: int = 20
     snapshot_every: int = 10
-    embed_check_every: int = 10
 
     def __post_init__(self):
         # bool is an int subclass, and a JSON spec may carry any type
-        for name in ("n", "resample_every", "snapshot_every", "embed_check_every"):
+        for name in ("n", "resample_every", "snapshot_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -103,11 +102,7 @@ class FlowConfig:
             raise ConfigError(f"safety factor must lie in (0, 0.5], got {self.safety}")
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ConfigError(f"end time must be positive and finite, got {self.t_end}")
-        if (
-            self.resample_every < 0
-            or self.snapshot_every < 1
-            or self.embed_check_every < 0
-        ):
+        if self.resample_every < 0 or self.snapshot_every < 1:
             raise ConfigError(
                 "cadence fields must be non-negative (snapshot_every at least 1)"
             )
@@ -268,17 +263,35 @@ def _implicit_laplacian_solve(frame: CurveFrame, dt: float, rhs: np.ndarray) -> 
     return _solve_cyclic_tridiagonal(-dt * a, 1.0 + dt * (a + c), -dt * c, rhs)
 
 
-def _finish_step(
-    snapshot: Snapshot, new_vertices: np.ndarray, dt: float, rescale: bool
-) -> Snapshot:
-    if not np.all(np.isfinite(new_vertices)):
+def _step(snapshot: Snapshot, dt: float, scheme: str, normalized: bool) -> Snapshot:
+    """The body of both steppers; the normalized flow adds the dilation
+    <k^2> F and the rescale to length 2*pi."""
+    frame = snapshot.frame
+    k2 = 0.0
+    if normalized:
+        if abs(frame.length - TWO_PI) > 1e-6 * TWO_PI:
+            raise DomainError(
+                "normalized step requires length 2*pi", length=frame.length
+            )
+        k2 = frame.avg_k2
+    if scheme == SCHEME_SEMI_IMPLICIT:
+        # 1 + dt * 0.0 is exactly 1: the un-normalized right-hand side is v
+        v = _implicit_laplacian_solve(frame, dt, (1.0 + dt * k2) * frame.vertices)
+    elif scheme == SCHEME_EXPLICIT and normalized:  # each flow keeps its rounding
+        v = frame.vertices + dt * (
+            k2 * frame.vertices - frame.curvature[:, None] * frame.normals
+        )
+    elif scheme == SCHEME_EXPLICIT:
+        v = frame.vertices - dt * frame.curvature[:, None] * frame.normals
+    else:
+        raise ConfigError(f"unknown scheme: {scheme!r}")
+    if not np.all(np.isfinite(v)):
         raise NumericalBlowup(
             "non-finite coordinates after step", step=snapshot.step, time=snapshot.time
         )
-    if rescale:  # canonical_scale's factor, read off the raw vertices
-        scale = TWO_PI / float(np.sum(_edge_lengths(new_vertices)))
-        new_vertices = new_vertices * scale
-    curve = DiscreteCurve(new_vertices, name=snapshot.curve.name)
+    if normalized:  # canonical_scale's factor, read off the raw vertices
+        v = v * (TWO_PI / float(np.sum(_edge_lengths(v))))
+    curve = DiscreteCurve(v, name=snapshot.curve.name)
     return Snapshot(snapshot.time + dt, snapshot.step + 1, curve)
 
 
@@ -291,14 +304,7 @@ def step_unnormalized(
     Laplacian (whose action on the embedding is the same normal motion) is
     treated implicitly with coefficients frozen at the current mesh.
     """
-    frame = snapshot.frame
-    if scheme == SCHEME_EXPLICIT:
-        v = frame.vertices - dt * frame.curvature[:, None] * frame.normals
-    elif scheme == SCHEME_SEMI_IMPLICIT:
-        v = _implicit_laplacian_solve(frame, dt, frame.vertices)
-    else:
-        raise ConfigError(f"unknown scheme: {scheme!r}")
-    return _finish_step(snapshot, v, dt, rescale=False)
+    return _step(snapshot, dt, scheme, normalized=False)
 
 
 def step_normalized(
@@ -310,32 +316,19 @@ def step_normalized(
     update the curve is rescaled about the origin to length exactly 2*pi,
     which removes the O(dt^2) secular drift of the dilation term.
     """
-    frame = snapshot.frame
-    if abs(frame.length - TWO_PI) > 1e-6 * TWO_PI:
-        raise DomainError(
-            "normalized step requires length 2*pi", length=frame.length
-        )
-    k2 = frame.avg_k2
-    if scheme == SCHEME_EXPLICIT:
-        v = frame.vertices + dt * (
-            k2 * frame.vertices - frame.curvature[:, None] * frame.normals
-        )
-    elif scheme == SCHEME_SEMI_IMPLICIT:
-        v = _implicit_laplacian_solve(frame, dt, (1.0 + dt * k2) * frame.vertices)
-    else:
-        raise ConfigError(f"unknown scheme: {scheme!r}")
-    return _finish_step(snapshot, v, dt, rescale=True)
+    return _step(snapshot, dt, scheme, normalized=True)
 
 
 def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
     """Integrate the configured flow from an embedded initial curve.
 
     Resamples to uniform arclength every ``resample_every`` steps, records a
-    snapshot every ``snapshot_every`` steps (plus the final state), checks
-    embeddedness every ``embed_check_every`` steps, after any resample of
-    that step, and stops at ``t_end`` or on the first failure. A failure
-    ends the trajectory at the last state that passed, with a termination
-    reason, instead of raising. This is the only embeddedness test of a
+    snapshot every ``snapshot_every`` steps and at ``t_end``, and stops at
+    ``t_end`` or on the first failure. Every recorded state, after any
+    resample of its step, must pass the embeddedness test. A failure ends
+    the trajectory at the state before it, with a termination reason,
+    instead of raising; that last state is kept even when it was not
+    recorded, and so not tested. This is the only embeddedness test of a
     flow: the initial curve, and its resample to ``config.n``, must pass it
     or the run raises NotEmbedded.
     """
@@ -392,11 +385,11 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
         except DegenerateCurve:
             termination = TERM_STEP_FAILURE
             break
-        if (
-            config.embed_check_every > 0
-            and nxt.step % config.embed_check_every == 0
-            and not is_embedded(nxt.curve)
-        ):
+        recorded = (
+            nxt.step % config.snapshot_every == 0
+            or nxt.time >= config.t_end - 1e-12
+        )
+        if recorded and not is_embedded(nxt.curve):
             termination = TERM_SELF_INTERSECT
             break
         snap = nxt
@@ -404,12 +397,12 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
         dense_len.append(snap.frame.length)
         dense_kmax.append(snap.frame.k_max)
         dense_k2.append(snap.frame.avg_k2)
-        if snap.step % config.snapshot_every == 0:
+        if recorded:
             snapshots.append(snap)
         if len(dense_time) > _MAX_STEPS:
             termination = TERM_STEP_FAILURE
             break
-    if snapshots[-1] is not snap:
+    if snapshots[-1] is not snap:  # an early stop's last state, not tested
         snapshots.append(snap)
 
     dense = DenseSeries(

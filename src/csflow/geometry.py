@@ -186,7 +186,7 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
 
     cross = unit_prev[:, 0] * unit[:, 1] - unit_prev[:, 1] * unit[:, 0]
-    dot = np.sum(unit_prev * unit, axis=1)
+    dot = unit_prev[:, 0] * unit[:, 0] + unit_prev[:, 1] * unit[:, 1]
     turning = np.arctan2(cross, dot)
 
     h_prev = cyclic_shift(h, 1)

@@ -1,6 +1,7 @@
 """Shared fixtures: the two flagship runs reused across test modules, a
-seeded fault in the barrier, the forked workers forced on or refused, and
-faults seeded in the ratio table's blocks and in a worker.
+seeded fault in the barrier, a coarse grid for the identity suite, the
+forked workers forced on or refused, and faults seeded in the ratio
+table's blocks and in a worker.
 
 Both runs are full default-config runs (N = 512, semi-implicit, t_end = 6)
 with every check enabled, persisted into the pytest tmp tree so the harness
@@ -28,6 +29,15 @@ def seed_barrier_fault(monkeypatch):
         monkeypatch.setattr(comparison, "f_eval", lambda x, t: f(x, t) + fault(x))
 
     return seed
+
+
+@pytest.fixture
+def coarse_identity_grid(monkeypatch):
+    """The operator sweeps on an 80 x 21 grid in place of 400 x 101: the
+    same checks at a fifth of the points each way, for tests that do not
+    pin the suite's output."""
+    monkeypatch.setattr(comparison, "_GRID_X", 80)
+    monkeypatch.setattr(comparison, "_GRID_T", 21)
 
 
 @pytest.fixture

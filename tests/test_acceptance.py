@@ -95,7 +95,6 @@ def test_criterion_03_shrinking_circle_oracle():
                 adaptive=adaptive,
                 t_end=0.45,
                 snapshot_every=2000,
-                embed_check_every=1000,
             ),
             checks=(),
         )
@@ -135,7 +134,6 @@ def test_criterion_03_shrinking_circle_oracle():
             dt=1e-5,
             t_end=0.15,
             snapshot_every=200,
-            embed_check_every=1000,
         ),
         checks=(),
     )

@@ -1,5 +1,6 @@
 """Flow stepping, trajectories, and the normalized/un-normalized clock maps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,10 +20,12 @@ from csflow.dynamics import (
     Snapshot,
     Trajectory,
     _cumulative_trapezoid,
+    _implicit_laplacian_solve,
     _solve_cyclic_tridiagonal,
     normalize_trajectory,
     recover_unnormalized,
     run,
+    step_unnormalized,
 )
 from csflow.errors import (
     ConfigError,
@@ -85,7 +88,7 @@ def test_flow_config_validation():
         FlowConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
         FlowConfig(snapshot_every=0)
-    FlowConfig(embed_check_every=0, resample_every=0)  # 0 turns a check off
+    FlowConfig(resample_every=0)  # 0 turns resampling off
 
 
 @pytest.mark.parametrize(
@@ -94,7 +97,7 @@ def test_flow_config_validation():
         {"t_end": math.nan},
         {"t_end": math.inf},
         {"t_end": 0.0},
-        {"embed_check_every": -1},
+        {"snapshot_every": 0},
         {"resample_every": -1},
     ],
 )
@@ -112,7 +115,7 @@ def test_flow_config_rejects_nonfinite_end_and_negative_cadence(bad):
         {"n": True},
         {"snapshot_every": 2.5},
         {"resample_every": None},
-        {"embed_check_every": False},
+        {"snapshot_every": False},
         {"dt": "0.001"},
         {"safety": True},
         {"t_end": "6"},
@@ -245,25 +248,52 @@ def _failing_from_call(monkeypatch, k):
 
 
 def test_self_intersection_ends_run_at_last_passing_state(monkeypatch):
-    # checks every 3 steps, resamples every 4: the check after step 12 sees
-    # a resampled state
-    cfg = FlowConfig(n=64, dt=1e-3, t_end=0.03, resample_every=4,
-                     snapshot_every=1, embed_check_every=3)
-    clean = run(cfg, gen_ellipse(2.0, 1.0, 64))
-    assert clean.termination == TERM_END
+    # records (and so checks) every 3 steps, resamples every 4: the check
+    # after step 12 sees a resampled state
+    cfg = FlowConfig(n=64, dt=1e-3, t_end=0.03, resample_every=4, snapshot_every=3)
+    every = run(dataclasses.replace(cfg, snapshot_every=1), gen_ellipse(2.0, 1.0, 64))
+    assert every.termination == TERM_END
     calls = _failing_from_call(monkeypatch, 5)  # the initial curve, then steps 3-12
     traj = run(cfg, gen_ellipse(2.0, 1.0, 64))
     assert len(calls) == 5
     # the last check saw step 12 after its resample
-    assert np.array_equal(calls[-1].vertices, clean.snapshots[12].curve.vertices)
+    assert np.array_equal(calls[-1].vertices, every.snapshots[12].curve.vertices)
     assert traj.termination == TERM_SELF_INTERSECT
-    assert [s.step for s in traj.snapshots] == list(range(12))
-    for got, want in zip(traj.snapshots, clean.snapshots):
+    # the recorded states that passed, then the last state before the failure
+    assert [s.step for s in traj.snapshots] == [0, 3, 6, 9, 11]
+    for got in traj.snapshots:
+        want = every.snapshots[got.step]
         assert got.time == want.time
         assert np.array_equal(got.curve.vertices, want.curve.vertices)
     # one dense entry per accepted step, the last one the final snapshot's
-    assert traj.dense.time.size == len(traj.snapshots)
+    assert np.array_equal(traj.dense.time, every.dense.time[:12])
     assert traj.dense.time[-1] == traj.final.time
+
+
+def test_every_recorded_state_is_tested_for_embeddedness(monkeypatch):
+    # 30 steps, recorded at 0, 7, 14, 21 and 28 and at the end time; step 28
+    # is also resampled, and no step records untested
+    tested, resampled = [], []
+    is_embedded = dynamics.is_embedded
+    resample_uniform = dynamics.resample_uniform
+
+    def embed_spy(curve):
+        tested.append(curve)
+        return is_embedded(curve)
+
+    def resample_spy(curve, n):
+        resampled.append(resample_uniform(curve, n))
+        return resampled[-1]
+
+    monkeypatch.setattr(dynamics, "is_embedded", embed_spy)
+    monkeypatch.setattr(dynamics, "resample_uniform", resample_spy)
+    cfg = FlowConfig(kind=KIND_UNNORMALIZED, n=64, dt=1e-3, t_end=0.03,
+                     resample_every=4, snapshot_every=7)
+    traj = run(cfg, gen_ellipse(2.0, 1.0, 64))
+    assert traj.termination == TERM_END
+    assert [s.step for s in traj.snapshots] == [0, 7, 14, 21, 28, 30]
+    assert [id(c) for c in tested] == [id(s.curve) for s in traj.snapshots]
+    assert traj.snapshots[4].curve is resampled[-1]
 
 
 def test_resampled_input_must_be_embedded(monkeypatch):
@@ -350,6 +380,15 @@ def test_shrinking_circle_radius(scheme):
     for snap in traj.snapshots:
         radius = float(np.hypot(*snap.curve.vertices.T).mean())
         assert abs(radius - math.sqrt(1.0 - 2.0 * snap.time)) < 5e-4
+
+
+def test_unnormalized_implicit_step_solves_on_the_vertices():
+    # the steppers share one body: its right-hand side (1 + dt * 0.0) * v
+    # must be v bit for bit
+    snap = Snapshot(0.0, 0, gen_ellipse(2.0, 1.0, 64))
+    nxt = step_unnormalized(snap, 1e-3, scheme="semi-implicit")
+    want = _implicit_laplacian_solve(snap.frame, 1e-3, snap.frame.vertices)
+    assert np.array_equal(nxt.curve.vertices, want)
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "semi-implicit"])

@@ -319,8 +319,8 @@ def test_identical_specs_persist_identical_bytes(tmp_path):
 # -- identity suite, static profile ---------------------------------------------
 
 
-def test_identity_suite_reports():
-    reports = verify_identities(80, 21)
+def test_identity_suite_reports(coarse_identity_grid):
+    reports = verify_identities()
     assert [r.name for r in reports] == [
         "L-tilde annihilates f",
         "L dominates L-tilde",
@@ -334,9 +334,11 @@ def test_identity_suite_reports():
     assert all(r.passed for r in reports)
 
 
-def test_identity_suite_catches_a_seeded_fault(seed_barrier_fault):
+def test_identity_suite_catches_a_seeded_fault(
+    coarse_identity_grid, seed_barrier_fault
+):
     seed_barrier_fault(lambda x: 1e-6 * x)
-    reports = verify_identities(80, 21)
+    reports = verify_identities()
     by_name = {r.name: r for r in reports}
     assert not by_name["L-tilde annihilates f"].passed
     assert not by_name["f shape (monotone/concave/symmetric)"].passed
@@ -646,7 +648,7 @@ def test_cli_profile_reports_an_unwritable_table(ellipse_path, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "flag", [["--t-end", "nan"], ["--t-end", "inf"], ["--embed-check-every", "-1"]]
+    "flag", [["--t-end", "nan"], ["--t-end", "inf"], ["--snapshot-every", "0"]]
 )
 def test_cli_rejects_bad_flow_config(flag, capsys):
     rc = cli.main(
@@ -656,6 +658,50 @@ def test_cli_rejects_bad_flow_config(flag, capsys):
     assert rc == 2
     assert captured.out == ""
     assert json.loads(captured.err)["kind"] == "ConfigError"
+
+
+def test_cli_rejects_a_bad_fourier_seed(capsys):
+    # NumPy's generators reject a negative seed with a bare ValueError
+    argv = ["run", "--generator", "fourier", "--n", "64", "--no-persist"]
+    rc = cli.main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "ConfigError"
+    for seed in (1.5, True, "1"):
+        with pytest.raises(ConfigError):
+            gen_fourier(seed=seed, n=64)
+
+
+def _option_strings(parser):
+    return [s for action in parser._actions for s in action.option_strings]
+
+
+def test_settings_are_the_listed_ones():
+    """Each settable value is a configuration to test: a new one is added
+    here on purpose, with the workload that needs it."""
+    fields = list(FlowConfig.__dataclass_fields__)
+    assert fields == [
+        "kind", "n", "scheme", "dt", "adaptive", "safety", "t_end",
+        "resample_every", "snapshot_every",
+    ]
+    parser = cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    run_options = _option_strings(commands["run"])
+    assert run_options == [
+        "-h", "--help", "--generator", "--input", "--r", "--a", "--b", "--neck",
+        "--modes", "--seed", "--n", "--kind", "--scheme", "--dt", "--adaptive",
+        "--safety", "--t-end", "--resample-every", "--snapshot-every", "--check",
+        "--outdir", "--no-persist",
+    ]
+    assert _option_strings(commands["verify-identities"]) == ["-h", "--help"]
+    # _cmd_run builds FlowConfig from the flags named after its fields
+    dests = {a.dest: a.option_strings for a in commands["run"]._actions}
+    for name in fields:
+        assert dests[name] == ["--" + name.replace("_", "-")]
+    # a stored config.json naming a removed field is refused, not read
+    with pytest.raises(ConfigError, match="embed_check_every"):
+        FlowConfig.from_json_dict({"embed_check_every": 10})
 
 
 def test_mistyped_flow_fields_are_config_errors(capsys):
@@ -674,14 +720,14 @@ def test_mistyped_flow_fields_are_config_errors(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_verify_identities(capsys, seed_barrier_fault):
-    rc = cli.main(["verify-identities", "--grid-x", "80", "--grid-t", "21"])
+def test_cli_verify_identities(capsys, coarse_identity_grid, seed_barrier_fault):
+    rc = cli.main(["verify-identities"])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("pass") >= 8
 
     seed_barrier_fault(lambda x: 1e-6 * x)
-    rc = cli.main(["verify-identities", "--grid-x", "80", "--grid-t", "21"])
+    rc = cli.main(["verify-identities"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
