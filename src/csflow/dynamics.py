@@ -33,7 +33,9 @@ from .errors import (
 from .geometry import (
     DiscreteCurve,
     CurveFrame,
-    _edge_lengths,
+    _checked_curve,
+    _curvature,
+    _edges,
     build_frame,
     canonical_scale,
     cyclic_shift,
@@ -126,19 +128,31 @@ class Snapshot:
     cached; snapshots must be treated as immutable once recorded.
     """
 
-    __slots__ = ("time", "step", "curve", "_frame")
+    __slots__ = ("time", "step", "curve", "_frame", "_scalars")
 
     def __init__(self, time: float, step: int, curve: DiscreteCurve):
         self.time = float(time)
         self.step = int(step)
         self.curve = curve
         self._frame = None
+        self._scalars = None
 
     @property
     def frame(self) -> CurveFrame:
         if self._frame is None:
             self._frame = build_frame(self.curve)
         return self._frame
+
+    @property
+    def scalars(self) -> tuple[float, float, float]:
+        """``(length, k_max, avg_k2)``, equal to the frame's, which a run
+        records at every step. A flow step measures them for the state it
+        makes; for any other state they are measured on first access, with
+        the frame's checks but without building the frame."""
+        if self._scalars is None:
+            v = self.curve.vertices
+            self._scalars = _curvature(cyclic_shift(v, -1) - v, self.curve.edge_lengths)[0]
+        return self._scalars
 
     def __repr__(self) -> str:
         return f"Snapshot(step={self.step}, time={self.time:.6g}, n={self.curve.n})"
@@ -235,64 +249,93 @@ def _solve_cyclic_tridiagonal(
 
     n = diag.size
     rhs2 = rhs if rhs.ndim == 2 else rhs[:, None]
+    m = rhs2.shape[1]
     gamma = -diag[0]
     d = diag.copy()
     d[0] -= gamma
     d[-1] -= lower[0] * upper[-1] / gamma
 
-    u = np.zeros((n, 1))
-    u[0, 0] = gamma
-    u[-1, 0] = upper[-1]
-    *_, sol, info = dgtsv(lower[1:], d, upper[:-1], np.hstack([rhs2, u]))
+    # gtsv's right-hand sides, in its column-major layout so that it solves
+    # in place: rhs, then u = (gamma, 0, ..., upper[-1])
+    b = np.empty((n, m + 1), order="F")
+    b[:, :m] = rhs2
+    b[:, m] = 0.0
+    b[0, m] = gamma
+    b[-1, m] = upper[-1]
+    *_, sol, info = dgtsv(lower[1:], d, upper[:-1], b, overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
-    y, w = sol[:, :-1], sol[:, -1]
-    # v = (1, 0, ..., lower[0]/gamma)
-    vy = y[0] + (lower[0] / gamma) * y[-1]
-    vw = w[0] + (lower[0] / gamma) * w[-1]
-    x = y - np.outer(w, vy / (1.0 + vw))
+    # with y = sol[:, :m], w = sol[:, m] and v = (1, 0, ..., lower[0]/gamma),
+    # x = y - outer(w, v.y / (1 + v.w)); vyw holds v.y, then v.w, and x is
+    # formed by the rows of sol.T, which are contiguous
+    vyw = sol[0] + (lower[0] / gamma) * sol[-1]
+    x = np.empty((n, m))
+    np.subtract(sol.T[:m], (vyw[:m] / (1.0 + vyw[m]))[:, None] * sol.T[m], out=x.T)
     return x if rhs.ndim == 2 else x[:, 0]
 
 
-def _implicit_laplacian_solve(frame: CurveFrame, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - dt * D_ss) x = rhs on the frame's arclength mesh."""
-    h = frame.edge_lengths
+def _implicit_laplacian_solve(h: np.ndarray, dt: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - dt * D_ss) x = rhs on the mesh of edge lengths h."""
     h_prev = cyclic_shift(h, 1)
-    a = 2.0 / (h_prev * (h_prev + h))  # weight of x[i-1]
-    c = 2.0 / (h * (h_prev + h))  # weight of x[i+1]
+    h_sum = h_prev + h
+    a = 2.0 / (h_prev * h_sum)  # weight of x[i-1]
+    c = 2.0 / (h * h_sum)  # weight of x[i+1]
     return _solve_cyclic_tridiagonal(-dt * a, 1.0 + dt * (a + c), -dt * c, rhs)
 
 
 def _step(snapshot: Snapshot, dt: float, scheme: str, normalized: bool) -> Snapshot:
-    """The body of both steppers; the normalized flow adds the dilation
-    <k^2> F and the rescale to length 2*pi."""
-    frame = snapshot.frame
-    k2 = 0.0
-    if normalized:
-        if abs(frame.length - TWO_PI) > 1e-6 * TWO_PI:
-            raise DomainError(
-                "normalized step requires length 2*pi", length=frame.length
+    """The flow step kernel, the body of both steppers; the normalized flow
+    adds the dilation <k^2> F and the rescale to length 2*pi.
+
+    One pass makes the new state: the update, the rescale, the checks of
+    ``DiscreteCurve`` and ``build_frame``, and the scalars a run records
+    (:attr:`Snapshot.scalars`), from one set of edge vectors. Only the
+    explicit scheme, which moves along the normals, builds the new state's
+    whole frame. A DegenerateCurve raised here, like a NumericalBlowup,
+    carries the step and time of the state the step starts from.
+    """
+    curve = snapshot.curve
+    try:
+        length, _, k2 = snapshot.scalars
+        if not normalized:
+            k2 = 0.0
+        elif abs(length - TWO_PI) > 1e-6 * TWO_PI:
+            raise DomainError("normalized step requires length 2*pi", length=length)
+        if scheme == SCHEME_SEMI_IMPLICIT:
+            # 1 + dt * 0.0 is exactly 1: the un-normalized right-hand side is v
+            v = _implicit_laplacian_solve(
+                curve.edge_lengths, dt, (1.0 + dt * k2) * curve.vertices
             )
-        k2 = frame.avg_k2
-    if scheme == SCHEME_SEMI_IMPLICIT:
-        # 1 + dt * 0.0 is exactly 1: the un-normalized right-hand side is v
-        v = _implicit_laplacian_solve(frame, dt, (1.0 + dt * k2) * frame.vertices)
-    elif scheme == SCHEME_EXPLICIT and normalized:  # each flow keeps its rounding
-        v = frame.vertices + dt * (
-            k2 * frame.vertices - frame.curvature[:, None] * frame.normals
-        )
-    elif scheme == SCHEME_EXPLICIT:
-        v = frame.vertices - dt * frame.curvature[:, None] * frame.normals
-    else:
-        raise ConfigError(f"unknown scheme: {scheme!r}")
-    if not np.all(np.isfinite(v)):
-        raise NumericalBlowup(
-            "non-finite coordinates after step", step=snapshot.step, time=snapshot.time
-        )
-    if normalized:  # canonical_scale's factor, read off the raw vertices
-        v = v * (TWO_PI / float(np.sum(_edge_lengths(v))))
-    curve = DiscreteCurve(v, name=snapshot.curve.name)
-    return Snapshot(snapshot.time + dt, snapshot.step + 1, curve)
+        elif scheme == SCHEME_EXPLICIT:
+            frame = snapshot.frame
+            if normalized:  # each flow keeps its rounding
+                v = frame.vertices + dt * (
+                    k2 * frame.vertices - frame.curvature[:, None] * frame.normals
+                )
+            else:
+                v = frame.vertices - dt * frame.curvature[:, None] * frame.normals
+        else:
+            raise ConfigError(f"unknown scheme: {scheme!r}")
+        if not np.isfinite(v).all():
+            raise NumericalBlowup(
+                "non-finite coordinates after step", step=snapshot.step, time=snapshot.time
+            )
+        if normalized:  # canonical_scale's factor, read off the raw vertices
+            raw_length = float(np.add.reduce(_edges(v)[1]))
+            if raw_length == 0.0:
+                raise DegenerateCurve("step collapsed the curve to a point")
+            v = v * (TWO_PI / raw_length)
+        new_curve, edges = _checked_curve(v, curve.name)
+        nxt = Snapshot(snapshot.time + dt, snapshot.step + 1, new_curve)
+        if scheme == SCHEME_EXPLICIT:  # the next explicit step reads the frame
+            frame = nxt.frame
+            nxt._scalars = (frame.length, frame.k_max, frame.avg_k2)
+        else:
+            nxt._scalars = _curvature(edges, new_curve.edge_lengths)[0]
+    except DegenerateCurve as exc:
+        exc.context.update(step=snapshot.step, time=snapshot.time)
+        raise
+    return nxt
 
 
 def step_unnormalized(
@@ -346,23 +389,20 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
         curve = canonical_scale(curve)
     snap = Snapshot(0.0, 0, curve)
     snapshots = [snap]
-    dense_time = [snap.time]
-    dense_len = [snap.frame.length]
-    dense_kmax = [snap.frame.k_max]
-    dense_k2 = [snap.frame.avg_k2]
+    dense = [(snap.time, *snap.scalars)]
     stepper = step_normalized if normalized else step_unnormalized
 
     termination = TERM_END
     while snap.time < config.t_end - 1e-12:
-        frame = snap.frame
-        if frame.k_max > _CURVATURE_CEILING:
+        k_max = snap.scalars[1]
+        if k_max > _CURVATURE_CEILING:
             termination = TERM_BLOWUP
             break
         dt = config.dt
         if config.adaptive:
-            dt = min(dt, config.safety / frame.k_max**2)
+            dt = min(dt, config.safety / k_max**2)
             if config.scheme == SCHEME_EXPLICIT:
-                dt = min(dt, config.safety * float(np.min(frame.edge_lengths)) ** 2)
+                dt = min(dt, config.safety * float(snap.curve.edge_lengths.min()) ** 2)
         dt = min(dt, config.t_end - snap.time)
         if dt < 1e-14:
             termination = TERM_BLOWUP if config.adaptive else TERM_STEP_FAILURE
@@ -378,7 +418,7 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
                 if normalized:
                     resampled = canonical_scale(resampled)
                 nxt = Snapshot(nxt.time, nxt.step, resampled)
-            nxt.frame  # built here, so a degenerate frame is a step failure
+            scalars = nxt.scalars  # measured here, so a degenerate state is a step failure
         except NumericalBlowup:
             termination = TERM_BLOWUP
             break
@@ -393,29 +433,21 @@ def run(config: FlowConfig, initial: DiscreteCurve) -> Trajectory:
             termination = TERM_SELF_INTERSECT
             break
         snap = nxt
-        dense_time.append(snap.time)
-        dense_len.append(snap.frame.length)
-        dense_kmax.append(snap.frame.k_max)
-        dense_k2.append(snap.frame.avg_k2)
+        dense.append((snap.time, *scalars))
         if recorded:
             snapshots.append(snap)
-        if len(dense_time) > _MAX_STEPS:
+        if len(dense) > _MAX_STEPS:
             termination = TERM_STEP_FAILURE
             break
     if snapshots[-1] is not snap:  # an early stop's last state, not tested
         snapshots.append(snap)
 
-    dense = DenseSeries(
-        time=np.array(dense_time),
-        length=np.array(dense_len),
-        k_max=np.array(dense_kmax),
-        avg_k2=np.array(dense_k2),
-    )
+    time, length, k_max, avg_k2 = np.array(dense).T.copy()  # contiguous rows
     return Trajectory(
         kind=config.kind,
         snapshots=snapshots,
         termination=termination,
-        dense=dense,
+        dense=DenseSeries(time=time, length=length, k_max=k_max, avg_k2=avg_k2),
     )
 
 

@@ -62,10 +62,25 @@ def signed_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
-def _edge_lengths(vertices: np.ndarray) -> np.ndarray:
-    """Length of edge i, from vertex i to vertex i+1, of a raw vertex array."""
+def _edges(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors and lengths of the edges of a raw vertex array; edge i runs
+    from vertex i to vertex i+1."""
     edges = cyclic_shift(vertices, -1) - vertices
-    return np.hypot(edges[:, 0], edges[:, 1])
+    return edges, np.hypot(edges[:, 0], edges[:, 1])
+
+
+def _check_vertices(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checks a :class:`DiscreteCurve` makes of its vertex array (N >= 8,
+    finite coordinates, no duplicated consecutive vertices); returns the
+    array's edge vectors and lengths."""
+    if arr.shape[0] < 8:
+        raise DegenerateCurve(f"need at least 8 vertices, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise DegenerateCurve("non-finite vertex coordinates")
+    edges, lengths = _edges(arr)
+    if np.minimum.reduce(lengths) <= 0.0:  # finite vertices: no length is NaN
+        raise DegenerateCurve("duplicated consecutive vertices")
+    return edges, lengths
 
 
 def polygon_length(curve: "DiscreteCurve") -> float:
@@ -92,17 +107,13 @@ class DiscreteCurve:
 
     def __post_init__(self):
         arr = _as_vertex_array(self.vertices)
-        if arr.shape[0] < 8:
-            raise DegenerateCurve(f"need at least 8 vertices, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
-            raise DegenerateCurve("non-finite vertex coordinates")
-        lengths = _edge_lengths(arr)
-        if np.any(lengths <= 0.0):
-            raise DegenerateCurve("duplicated consecutive vertices")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        _, lengths = _check_vertices(arr)
+        self._freeze(arr.copy(), lengths)
+
+    def _freeze(self, vertices: np.ndarray, lengths: np.ndarray) -> None:
+        vertices.flags.writeable = False
         lengths.flags.writeable = False
-        object.__setattr__(self, "vertices", arr)
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edge_lengths", lengths)
 
     @classmethod
@@ -124,6 +135,22 @@ class DiscreteCurve:
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
+
+
+def _checked_curve(
+    vertices: np.ndarray, name: str | None
+) -> tuple[DiscreteCurve, np.ndarray]:
+    """A curve on a float (N, 2) array that nothing else holds, and its edge
+    vectors: the constructor's checks, without its copy of the array.
+
+    The flow step's kernel makes each new state with it, so that the edge
+    vectors the checks take also give the state's curvature.
+    """
+    edges, lengths = _check_vertices(vertices)
+    curve = object.__new__(DiscreteCurve)
+    object.__setattr__(curve, "name", name)
+    curve._freeze(vertices, lengths)
+    return curve, edges
 
 
 @dataclass(frozen=True)
@@ -163,6 +190,54 @@ class CurveFrame:
         return self.curve.edge_lengths
 
 
+def _has_cusp(unit_prev: np.ndarray, unit: np.ndarray, dot: np.ndarray) -> bool:
+    """True iff the bisector ``unit_prev + unit`` of some vertex is shorter
+    than 1e-12: the adjacent edges reverse direction. Both arguments hold a
+    unit vector per column (rows x and y), and ``dot`` their dot products.
+
+    For unit vectors |bisector|^2 = 2 + 2 dot up to a few roundings, so a
+    bisector that short has dot < -0.5; the norm is taken at those vertices
+    only, where it equals the norm taken over the whole arrays.
+    """
+    if dot.min() >= -0.5:
+        return False
+    at = np.flatnonzero(dot < -0.5)
+    bisector = unit_prev[:, at] + unit[:, at]
+    return bool((np.hypot(bisector[0], bisector[1]) < 1e-12).any())
+
+
+def _curvature(edges: np.ndarray, h: np.ndarray):
+    """The curvature of a polygon from its edge vectors and lengths.
+
+    Returns ``(length, k_max, avg_k2)`` and the arrays
+    ``(unit, unit_prev, turning, dual_weights, curvature)``; column i of
+    ``unit`` (rows x and y) is the unit vector of edge i, and of
+    ``unit_prev`` that of edge i-1. :func:`build_frame` builds on it, and
+    the flow step takes from it the scalars it records for each state.
+    Raises DegenerateCurve as :func:`build_frame` documents.
+    """
+    length = float(np.add.reduce(h))
+    min_edge = float(np.minimum.reduce(h))  # a curve's edge lengths are never NaN
+    if min_edge < 1e-12 * (length / h.size):  # length / N is np.mean(h)
+        raise DegenerateCurve("edge length below 1e-12 of mean", min_edge=min_edge)
+    # column 0 repeats the last edge's unit vector, so both sides are views
+    units = np.empty((2, h.size + 1))
+    np.divide(edges.T, h, out=units[:, 1:])
+    units[:, 0] = units[:, -1]
+    unit, unit_prev = units[:, 1:], units[:, :-1]
+    prod = unit_prev * unit
+    dot = prod[0] + prod[1]
+    if _has_cusp(unit_prev, unit, dot):
+        raise DegenerateCurve("adjacent edges reverse direction (cusp)")
+    prod = unit[::-1] * unit_prev  # rows uy * px and ux * py
+    turning = np.arctan2(prod[0] - prod[1], dot)
+    w = 0.5 * (cyclic_shift(h, 1) + h)
+    k = turning / w
+    avg_k2 = float(np.add.reduce(k * k * w) / length)
+    k_max = float(np.maximum.reduce(np.abs(k)))
+    return (length, k_max, avg_k2), (unit, unit_prev, turning, w, k)
+
+
 def build_frame(curve: DiscreteCurve) -> CurveFrame:
     """Compute all pointwise geometric quantities of a curve.
 
@@ -171,42 +246,22 @@ def build_frame(curve: DiscreteCurve) -> CurveFrame:
     """
     v = curve.vertices
     h = curve.edge_lengths
-    mean_h = float(np.mean(h))
-    if np.any(h < 1e-12 * mean_h):
-        raise DegenerateCurve("edge length below 1e-12 of mean", min_edge=float(h.min()))
-    unit = (cyclic_shift(v, -1) - v) / h[:, None]
-    unit_prev = cyclic_shift(unit, 1)
-
+    (length, k_max, avg_k2), (unit, unit_prev, turning, w, k) = _curvature(
+        cyclic_shift(v, -1) - v, h
+    )
     bisector = unit_prev + unit
-    norm = np.hypot(bisector[:, 0], bisector[:, 1])
-    if np.any(norm < 1e-12):
-        raise DegenerateCurve("adjacent edges reverse direction (cusp)")
-    tangents = bisector / norm[:, None]
+    tx, ty = bisector / np.hypot(bisector[0], bisector[1])
     # outward normal for a CCW curve: tangent rotated by -pi/2
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-
-    cross = unit_prev[:, 0] * unit[:, 1] - unit_prev[:, 1] * unit[:, 0]
-    dot = unit_prev[:, 0] * unit[:, 0] + unit_prev[:, 1] * unit[:, 1]
-    turning = np.arctan2(cross, dot)
-
-    h_prev = cyclic_shift(h, 1)
-    w = 0.5 * (h_prev + h)
-    k = turning / w
-
-    length = float(np.sum(h))
-    s = np.concatenate([[0.0], np.cumsum(h[:-1])])
-    avg_k2 = float(np.sum(k * k * w) / length)
-
     return CurveFrame(
         curve=curve,
-        arclength=s,
+        arclength=np.concatenate([[0.0], np.cumsum(h[:-1])]),
         length=length,
-        tangents=tangents,
-        normals=normals,
+        tangents=np.column_stack([tx, ty]),
+        normals=np.column_stack([ty, -tx]),
         turning=turning,
         dual_weights=w,
         curvature=k,
-        k_max=float(np.max(np.abs(k))),
+        k_max=k_max,
         k_min=float(np.min(k)),
         avg_k2=avg_k2,
         area=signed_area(v),

@@ -32,6 +32,7 @@ from csflow.errors import (
     DegenerateCurve,
     DomainError,
     NotEmbedded,
+    NumericalBlowup,
     WrongRunKind,
 )
 from csflow.geometry import DiscreteCurve
@@ -304,30 +305,88 @@ def test_resampled_input_must_be_embedded(monkeypatch):
     assert info.value.context == {"n": 96}
 
 
-def test_degenerate_frame_ends_run_as_step_failure(monkeypatch):
-    # call 1 is the initial frame, call k the frame of step k - 1; the first
-    # resample (step 20) comes later
-    k = 5
+def _seed_solve_fault(monkeypatch, k, fault):
+    """Apply ``fault`` in place to the raw vertices of the k-th implicit
+    solve, that of step k, before the rescale; returns the solves' outputs."""
+    solve = dynamics._implicit_laplacian_solve
     calls = []
-    build_frame = dynamics.build_frame
 
-    def failing(curve):
-        calls.append(curve)
+    def seeded(h, dt, rhs):
+        calls.append(solve(h, dt, rhs))
         if len(calls) == k:
-            raise DegenerateCurve("seeded frame failure")
-        return build_frame(curve)
+            fault(calls[-1])
+        return calls[-1]
 
-    monkeypatch.setattr(dynamics, "build_frame", failing)
-    traj = run(FlowConfig(n=64, dt=1e-3, t_end=0.05), gen_ellipse(2.0, 1.0, 64))
-    assert len(calls) == k
-    assert traj.termination == TERM_STEP_FAILURE
-    assert traj.final.step == k - 2
-    assert traj.dense.time.size == k - 1
+    monkeypatch.setattr(dynamics, "_implicit_laplacian_solve", seeded)
+    return calls
 
 
-def test_step_builds_one_curve_and_one_frame(monkeypatch):
+def _cusp(v):  # edge 10 exactly reverses edge 9
+    v[11] = v[9]
+
+
+def _duplicate(v):
+    v[11] = v[10]
+
+
+def _short_edge(v):  # a few ulps long, below 1e-12 of the mean edge of about 0.1
+    v[11] = v[10]
+    v[11, 0] += 1e-15
+
+
+def _non_finite(v):
+    v[10, 0] = np.nan
+
+
+def _collapse(v):  # nothing left to rescale to length 2*pi
+    v[:] = v[0]
+
+
+_SEEDED_FAULTS = (
+    (_cusp, TERM_STEP_FAILURE, "cusp"),
+    (_duplicate, TERM_STEP_FAILURE, "duplicated consecutive vertices"),
+    (_short_edge, TERM_STEP_FAILURE, "below 1e-12 of mean"),
+    (_non_finite, TERM_BLOWUP, "non-finite coordinates"),
+    (_collapse, TERM_STEP_FAILURE, "collapsed the curve to a point"),
+)
+
+
+def test_degenerate_frame_ends_run_as_step_failure(monkeypatch):
+    # a fault in the state step k makes ends the run at state k - 1, with one
+    # dense entry per state 0 .. k - 1; the first resample (step 20) comes later
+    k = 5
+    cfg = FlowConfig(n=64, dt=1e-3, t_end=0.05)
+    for fault, termination, message in _SEEDED_FAULTS:
+        calls = _seed_solve_fault(monkeypatch, k, fault)
+        traj = run(cfg, gen_ellipse(2.0, 1.0, 64))
+        assert len(calls) == k, message
+        assert traj.termination == termination, message
+        assert traj.final.step == k - 1
+        assert traj.dense.time.size == k
+        # the step itself raises the check the fault is for, with the step
+        # and time of the state it starts from
+        _seed_solve_fault(monkeypatch, 1, fault)
+        with pytest.raises((DegenerateCurve, NumericalBlowup), match=message) as info:
+            dynamics.step_normalized(traj.final, 1e-3)
+        assert info.value.context["step"] == k - 1
+        assert info.value.context["time"] == traj.final.time
+
+
+def test_degenerate_state_raises_with_step_and_time():
+    v = gen_ellipse(2.0, 1.0, 64).vertices.copy()
+    for fault, message in ((_cusp, "cusp"), (_short_edge, "below 1e-12 of mean")):
+        w = v.copy()
+        fault(w)
+        snap = Snapshot(0.25, 7, DiscreteCurve(w))
+        with pytest.raises(DegenerateCurve, match=message) as info:
+            dynamics.step_normalized(snap, 1e-3)
+        assert info.value.context["step"] == 7
+        assert info.value.context["time"] == 0.25
+
+
+def test_step_builds_one_curve_and_frames_only_where_read(monkeypatch):
     initial = gen_ellipse(2.0, 1.0, 64)
-    counts = {"curves": 0, "frames": 0, "resamples": 0}
+    counts = dict.fromkeys(["curves", "checked", "frames", "measures", "resamples"], 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -339,19 +398,37 @@ def test_step_builds_one_curve_and_one_frame(monkeypatch):
     monkeypatch.setattr(
         DiscreteCurve, "__post_init__", counting("curves", DiscreteCurve.__post_init__)
     )
-    monkeypatch.setattr(dynamics, "build_frame", counting("frames", dynamics.build_frame))
-    monkeypatch.setattr(
-        dynamics, "resample_uniform", counting("resamples", dynamics.resample_uniform)
-    )
-    traj = run(FlowConfig(n=64, dt=1e-3, t_end=0.05), initial)
-    steps = traj.final.step
-    assert traj.termination == TERM_END and steps == 50
-    assert counts["resamples"] == 2  # steps 20 and 40
-    # one frame per kept state: the initial one and one per step
-    assert counts["frames"] == traj.dense.time.size == steps + 1
-    # one curve per step, two per resample (resample, rescale), and the
-    # initial rescale
-    assert counts["curves"] == steps + 2 * counts["resamples"] + 1
+    for name, attr in (
+        ("checked", "_checked_curve"),
+        ("frames", "build_frame"),
+        ("measures", "_curvature"),
+        ("resamples", "resample_uniform"),
+    ):
+        monkeypatch.setattr(dynamics, attr, counting(name, getattr(dynamics, attr)))
+    for scheme in ("semi-implicit", "explicit"):
+        counts.update(dict.fromkeys(counts, 0))
+        traj = run(FlowConfig(n=64, scheme=scheme, dt=1e-3, t_end=0.05), initial)
+        steps = traj.final.step
+        assert traj.termination == TERM_END and steps == 50
+        assert counts["resamples"] == 2  # steps 20 and 40
+        # one checked curve per step; two constructed per resample (resample,
+        # rescale) and one for the initial rescale
+        assert counts["checked"] == steps
+        assert counts["curves"] == 2 * counts["resamples"] + 1
+        if scheme == "semi-implicit":
+            # no frame: one measure per kept state, and one of each state a
+            # resample replaced
+            assert counts["frames"] == 0
+            assert counts["measures"] == traj.dense.time.size + counts["resamples"]
+        else:
+            # the explicit step moves along the normals: the frame of every
+            # state it steps from, built once
+            assert counts["frames"] == steps + counts["resamples"] + 1
+            assert counts["measures"] == 1 + counts["resamples"]
+        counts["frames"] = 0
+        frames = [s.frame for s in traj.snapshots]
+        assert len(frames) == 6
+        assert counts["frames"] == (6 if scheme == "semi-implicit" else 0)
 
 
 def test_snapshot_cadence_and_lazy_frames():
@@ -387,7 +464,7 @@ def test_unnormalized_implicit_step_solves_on_the_vertices():
     # must be v bit for bit
     snap = Snapshot(0.0, 0, gen_ellipse(2.0, 1.0, 64))
     nxt = step_unnormalized(snap, 1e-3, scheme="semi-implicit")
-    want = _implicit_laplacian_solve(snap.frame, 1e-3, snap.frame.vertices)
+    want = _implicit_laplacian_solve(snap.curve.edge_lengths, 1e-3, snap.curve.vertices)
     assert np.array_equal(nxt.curve.vertices, want)
 
 
