@@ -254,12 +254,17 @@ def a_solve(d, ell):
         np.asarray(d, dtype=float), np.asarray(ell, dtype=float)
     )
     _validate_pairs(d_arr, ell_arr)
-    u = np.sin(0.5 * ell_arr)
-    out = np.zeros_like(d_arr)
-    active = d_arr < 2.0 * u
+    return _maybe_scalar(_a_values(d_arr, np.sin(0.5 * ell_arr)), scalar)
+
+
+def _a_values(d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a_solve past its domain check, from the chords d and u = sin(ell/2):
+    0 where d >= 2u, the root elsewhere."""
+    out = np.zeros_like(d)
+    active = d < 2.0 * u
     if np.any(active):
-        out[active] = _a_root(d_arr[active], u[active])
-    return _maybe_scalar(out, scalar)
+        out[active] = _a_root(d[active], u[active])
+    return out
 
 
 # Relative slack of the prune test phi(A, u) >= d. Rounding in phi is a few
@@ -603,8 +608,8 @@ def _table_block(frame: CurveFrame, render, rows):
     """One row block of the ratio table: ``render(ell, d, a)`` of the block,
     and its first pair with the maximal a, that maximum and its nonzero
     count."""
-    i_idx, j_idx, d, ell, _ = _pair_block(frame, *rows)
-    a = a_solve(d, ell)
+    i_idx, j_idx, d, ell, u = _pair_block(frame, *rows)
+    a = _a_values(d, u)
     k = int(np.argmax(a))
     pair = int(i_idx[k]), int(j_idx[k])
     return render(ell, d, a), (pair, float(a[k]), int(np.count_nonzero(a)))
@@ -616,9 +621,11 @@ def ratio_table(frame: CurveFrame, render, write) -> ProfileSummary:
     takes, and ``write`` gets the rendered blocks in np.triu_indices order.
 
     The blocks are those of the profile sweep, ell clipped to pi, and a is
-    a_solve over each block, so memory stays O(N + block). With more than
-    one block and several usable cores (see _pool_size), the blocks are
-    solved and rendered in forked workers and only ``write`` runs in this
+    a_solve over each block, bit for bit, from the chords and the u that
+    the sweep has already checked and computed, so memory stays
+    O(N + block). With more than one block and several usable cores (see
+    _pool_size), the blocks are solved and rendered in forked workers, which
+    send back what ``render`` returns, and only ``write`` runs in this
     process; otherwise, and as the oracle of the pool, one after another
     here. Either way an error is that of the earliest failing block. The
     off-diagonal supremum is the first argmax, maximum and count of the

@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -438,6 +439,176 @@ def canonical_scale(curve: DiscreteCurve) -> DiscreteCurve:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+# -- "%.17g" for arrays ------------------------------------------------------
+#
+# _fmt_rows renders itself each value that "%.17g" prints in fixed notation
+# without a sign, and hands the rest (negative, -0, below 1e-4, from 1e17
+# on, not finite) to _fmt. Such a value is the 17-digit integer
+# D = x * 10**(16 - e), rounded half to even, and its decimal exponent e in
+# [-4, 16] (+0 is D = 0, e = 0). Its text is laid out in a 32-byte slot:
+# S = "0000", "000h" and four 4-digit groups (D's 17 digits at bytes
+# 7..23), then 8 unused bytes; the point goes in before byte e + 8, so the
+# bytes after it come from S shifted by one byte. Which bytes survive (the
+# leading "0" or the integer digits, the point, the fraction up to its last
+# nonzero digit, the separator) depends on e and D's trailing zeros only,
+# and is read off small tables; one mask compacts the slots.
+
+_POW10 = np.array([float(10**k) for k in range(22)])  # exact: 5**21 < 2**53
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+_FMT_ROWS = 2048  # rows per sub-block, so the temporaries stay small
+_LAYOUTS = 21 * 17  # (e, trailing zeros) pairs
+
+
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _digits17(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x * 10**(16 - e) rounded half to even, as int64, for 0 <= 16 - e <= 21.
+
+    Dekker's product gives x * 10**k = p + err exactly (10**k is a double
+    here). Where the result reaches 10**16 > 2**53, p is an integer, so the
+    rounding reads the exact remainder err - floor(err). Below that the
+    result is not exact, but below 10**16 all the same.
+    """
+    c = _POW10[16 - e]
+    p = x * c
+    x_hi, x_lo = _split(x)
+    c_hi, c_lo = _split(c)
+    # err = ((x_hi c_hi - p) + x_hi c_lo + x_lo c_hi) + x_lo c_lo, in place
+    err = x_hi * c_hi
+    err -= p
+    err += np.multiply(x_hi, c_lo, out=x_hi)
+    err += np.multiply(x_lo, c_hi, out=c_hi)
+    err += np.multiply(x_lo, c_lo, out=c_lo)
+    whole = np.floor(err, out=x_lo)
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    frac = np.subtract(err, whole, out=err)
+    d += (frac > 0.5) | ((frac == 0.5) & (d & 1 == 1))
+    return d
+
+
+@functools.cache
+def _fmt_tables():
+    """The four-digit ASCII groups, their trailing zeros, and the slot
+    layout of each (e, trailing zeros) pair, e in [-4, 16], zeros in
+    [0, 16]: bytes taken from S, bytes taken from S shifted, the constant
+    bytes (point and separator, "," then "\\n") and the bytes kept.
+
+    Built on first use, from Python bytes into read-only arrays, so that a
+    process that renders no table holds none of it, and one that does keeps
+    no array temporaries of it.
+    """
+
+    def run(lo, hi, value):
+        slot = bytearray(32)
+        slot[lo:hi] = bytes([value]) * max(hi - lo, 0)
+        return slot
+
+    ascii4, zeros4 = bytearray(40_000), bytearray(10_000)
+    for col, place in enumerate((1000, 100, 10, 1)):
+        ascii4[col::4] = b"".join(bytes([c]) * place for c in b"0123456789") * (
+            1000 // place
+        )
+    for tz, place in enumerate((10, 100, 1000, 10_000), 1):
+        zeros4[::place] = bytes([tz]) * (10_000 // place)
+    from_s, from_shifted, comma, newline, keep = (bytearray() for _ in range(5))
+    for e in range(-4, 17):
+        point, start = e + 8, min(e, 0) + 7
+        for tz in range(17):
+            last = 24 - tz if 23 - tz >= point else point - 1  # last byte written
+            from_s += run(start, point, 0xFF)
+            from_shifted += run(point + 1, last + 1, 0xFF)
+            for table, sep in ((comma, b","), (newline, b"\n")):
+                fixed = run(last + 1, last + 2, sep[0])
+                if point < last:  # a fraction is left
+                    fixed[point] = ord(".")
+                table += fixed
+            keep += run(start, last + 2, 1)
+    return (
+        np.frombuffer(bytes(ascii4), "<u4"),
+        np.frombuffer(bytes(zeros4), np.uint8),
+        *(
+            np.frombuffer(bytes(t), "<u8").reshape(-1, 4)
+            for t in (from_s, from_shifted, comma + newline, keep)
+        ),
+    )
+
+
+def _fmt_block(x: np.ndarray, last_col: np.ndarray) -> bytes:
+    """The "%.17g" text of the flat values x, each followed by "," or, where
+    last_col is 1, by "\\n"."""
+    ascii4, zeros4, from_s, from_shifted, fixed, keep = _fmt_tables()
+    n = x.size
+    fast = (x >= 1e-5) & (x < 1e17)
+    zero = (x == 0.0) & ~np.signbit(x)
+    x_fast = np.where(fast, x, 1.0)
+    e = np.floor(np.log10(x_fast)).astype(np.intp)
+    e.clip(-5, 16, out=e)
+    d = _digits17(x_fast, e)
+    # log10 can be off by one next to a power of ten, and D can round up to
+    # 10**17: step e to where D has 17 digits
+    up, down = d >= 10**17, d < 10**16
+    redo = np.flatnonzero(up | down)
+    if redo.size:
+        e[redo] += up[redo].astype(np.intp) - down[redo]
+        redo = redo[(e[redo] >= -4) & (e[redo] <= 16)]
+        d[redo] = _digits17(x_fast[redo], e[redo])
+    fast &= (e >= -4) & (d >= 10**16) & (d < 10**17)
+    d[zero] = 0  # e is 0 there: lays out as "0"
+    fast |= zero
+    e.clip(-4, 16, out=e)
+
+    # D's digits in four-digit groups: h, then g1 .. g4
+    hi = d // 10**8
+    lo = d - hi * 10**8
+    top = hi // 10_000
+    h = top // 10_000
+    g3 = lo // 10_000
+    g1, g2, g4 = top - h * 10_000, hi - top * 10_000, lo - g3 * 10_000
+    # one spare slot in front, so that the view of S shifted by one byte
+    # stays inside the buffer; no byte of it is kept
+    words = np.empty((n + 1, 8), "<u4")
+    words[1:, 0] = ascii4[0]
+    for col, group in enumerate((h, g1, g2, g3, g4), 1):
+        words[1:, col] = ascii4[group]
+    tz = zeros4[g4] + (g4 == 0) * (
+        zeros4[g3] + (g3 == 0) * (zeros4[g2] + (g2 == 0) * zeros4[g1])
+    )
+    layout = (e + 4) * 17 + tz
+    flat = words.view(np.uint8).ravel()
+    s, shifted = flat[32:].view("<u8"), flat[31:-1].view("<u8")
+    out = np.empty_like(s)  # "<u8" as s is, so its bytes are the text on any host
+    np.bitwise_and(s, np.take(from_s, layout, axis=0).ravel(), out=out)
+    out |= shifted & np.take(from_shifted, layout, axis=0).ravel()
+    out |= np.take(fixed, layout + _LAYOUTS * last_col, axis=0).ravel()
+
+    text = out.view(np.uint8).reshape(n, 32)
+    kept = np.take(keep, layout, axis=0).view(bool).reshape(n, 32)
+    for v in np.flatnonzero(~fast):
+        slot = (_fmt(x[v]) + ("\n" if last_col[v] else ",")).encode()
+        text[v, : len(slot)] = np.frombuffer(slot, np.uint8)
+        kept[v] = np.arange(32) < len(slot)
+    return text[kept].tobytes()
+
+
+def _fmt_rows(columns) -> bytes:
+    """Rows of equal-length float columns as CSV bytes: exactly the text of
+    "%.17g" (that is, of :func:`_fmt`) for each value, "," between columns
+    and "\\n" after each row, rendered in sub-blocks of _FMT_ROWS rows."""
+    table = np.column_stack(columns).astype(float, copy=False)
+    rows, cols = table.shape
+    last_col = np.tile(np.arange(cols) == cols - 1, min(rows, _FMT_ROWS))
+    parts = []
+    for r0 in range(0, rows, _FMT_ROWS):
+        block = table[r0 : r0 + _FMT_ROWS].ravel()
+        parts.append(_fmt_block(block, last_col[: block.size]))
+    return b"".join(parts)
 
 
 def save_curve(curve: DiscreteCurve, path: str | Path) -> None:

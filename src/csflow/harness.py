@@ -52,6 +52,7 @@ from .errors import (
 from .geometry import (
     DiscreteCurve,
     _fmt,
+    _fmt_rows,
     build_frame,
     canonical_scale,
     is_embedded,
@@ -416,19 +417,21 @@ def verify_identities() -> list[IdentityReport]:
     ]
 
 
-def _table_text(ell, d, a) -> str:
-    """CSV rows "l,d,a" of one block of the ratio table; "%.17g" formats a
-    float exactly as _fmt does."""
-    rows = np.column_stack((ell, d, a)).ravel().tolist()
-    return ("%.17g,%.17g,%.17g\n" * ell.size) % tuple(rows)
+def _table_text(ell, d, a) -> bytes:
+    """CSV rows "l,d,a" of one block of the ratio table, as the bytes
+    :func:`~csflow.geometry._fmt_rows` gives: each float exactly as _fmt
+    formats it."""
+    return _fmt_rows((ell, d, a))
 
 
 def profile_curve(path: str | Path, out_csv: str | Path | None = None):
     """Profile a curve file: summary plus the per-pair (l, d, a) table.
 
     The curve is rescaled to length 2*pi first. Each row block of the table
-    is written as :func:`~csflow.comparison.ratio_table` hands it over, so
-    the table is never held whole. A failure deletes the partial table
+    is rendered to bytes by :func:`_table_text` where it was solved, and
+    written through a binary handle as
+    :func:`~csflow.comparison.ratio_table` hands it over, so the table is
+    never held whole. A failure deletes the partial table
     when it is a regular file, and never a device or FIFO such as
     /dev/null. Returns the summary and the CSV path written.
     """
@@ -441,10 +444,10 @@ def profile_curve(path: str | Path, out_csv: str | Path | None = None):
         if out_csv is not None
         else Path(path).with_suffix(".profile.csv")
     )
-    fh = open(out_csv, "w")
+    fh = open(out_csv, "wb")
     try:
         with fh:
-            fh.write("l,d,a\n")
+            fh.write(b"l,d,a\n")
             summary = ratio_table(frame, _table_text, fh.write)
     except BaseException:
         if out_csv.is_file():  # a truncated table is not a result

@@ -84,21 +84,22 @@ def die_in_worker():
 
 @pytest.fixture
 def fault_on_blocks(monkeypatch):
-    """``seed(frame, {b: fault})`` makes comparison.a_solve call fault() on
-    row block b of frame's ratio table, found by its chords."""
+    """``seed(frame, {b: fault})`` makes the ratio table's solve
+    (comparison._a_values) call fault() on row block b of frame's ratio
+    table, found by its chords."""
 
     def seed(frame, faults):
         rows = comparison._block_rows(frame.n)
         chords = {b: comparison._pair_block(frame, *rows[b])[2] for b in faults}
-        solve = comparison.a_solve
+        solve = comparison._a_values
 
-        def faulty(d, ell):
+        def faulty(d, u):
             for b, d_b in chords.items():
                 if d.shape == d_b.shape and np.array_equal(d, d_b):
                     faults[b]()
-            return solve(d, ell)
+            return solve(d, u)
 
-        monkeypatch.setattr(comparison, "a_solve", faulty)
+        monkeypatch.setattr(comparison, "_a_values", faulty)
 
     return seed
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csflow import comparison
+from csflow import comparison, harness
 from csflow.comparison import (
     _BOUND_MARGIN,
     _DIAG_NOISE_FLOOR,
@@ -379,10 +379,12 @@ def test_ratio_table_matches_profile_and_a_solve(make, monkeypatch, pool_starts)
 def test_ratio_table_ties_go_to_the_first_pair(monkeypatch):
     # a fake ratio with wide ties, on a circle whose diagonal values are 0,
     # so the summary shows which of the tied pairs won
+    # (12 at each of the 32 antipodal pairs, where u = 1)
     frame = build_frame(canonical_scale(gen_circle(1.0, 64)))
-    monkeypatch.setattr(comparison, "a_solve", lambda d, ell: np.floor(4.0 * ell))
+    monkeypatch.setattr(comparison, "_a_values", lambda d, u: np.floor(12.0 * u))
     i_idx, j_idx, _, ell = all_pairs_chord_arc(frame)
-    a = np.floor(4.0 * np.minimum(ell, math.pi))
+    a = np.floor(12.0 * np.sin(0.5 * np.minimum(ell, math.pi)))
+    assert np.count_nonzero(a == 12.0) == 32
     im = int(np.argmax(a))
     for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
@@ -468,18 +470,32 @@ def test_one_block_table_stays_serial(monkeypatch, no_pool):
     assert len(blocks) == 1
 
 
-def test_ratio_table_memory_stays_bounded_at_n_2048(monkeypatch):
-    # memory guard, no timing: the table is solved and handed out one row
-    # block at a time, where one whole-range table peaked near 250 MiB. One
-    # usable core keeps the solve in this process, where tracemalloc sees it.
+def _ratio_table_peak(monkeypatch, render):
+    """The summary and the tracemalloc peak of the N = 2048 ratio table,
+    rendered by ``render`` and written nowhere. One usable core keeps the
+    solve in this process, where tracemalloc sees it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     frame = build_frame(canonical_scale(gen_fourier(4, 6, 2048)))
     tracemalloc.start()
     try:
-        summary = ratio_table(frame, lambda ell, d, a: None, lambda rendered: None)
-        peak = tracemalloc.get_traced_memory()[1]
+        summary = ratio_table(frame, render, lambda rendered: None)
+        return summary, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_ratio_table_memory_stays_bounded_at_n_2048(monkeypatch):
+    # memory guard, no timing: the table is solved and handed out one row
+    # block at a time, where one whole-range table peaked near 250 MiB
+    summary, peak = _ratio_table_peak(monkeypatch, lambda ell, d, a: None)
+    assert summary.n_active > 0
+    assert peak < 16 * 2**20
+
+
+def test_rendered_ratio_table_memory_stays_bounded_at_n_2048(monkeypatch):
+    # the same guard with the CSV renderer: each block's text and the
+    # encoder's sub-block temporaries add to one block's arrays
+    summary, peak = _ratio_table_peak(monkeypatch, harness._table_text)
     assert summary.n_active > 0
     assert peak < 16 * 2**20
 

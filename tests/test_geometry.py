@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import re
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -557,3 +559,92 @@ def test_clockwise_curve_near_the_float_range_loads_counterclockwise(tmp_path):
         warnings.simplefilter("error")
         back = load_curve(path)
     assert np.array_equal(back.vertices, ccw)
+
+
+# -- "%.17g" for arrays -------------------------------------------------------
+
+
+def _record_fallbacks(monkeypatch) -> list:
+    """Record each value _fmt_rows hands to _fmt."""
+    calls = []
+    fmt = geometry._fmt
+
+    def recording(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(geometry, "_fmt", recording)
+    return calls
+
+
+def _check_fmt_rows(values, monkeypatch, widths=(1, 3)):
+    """_fmt_rows against its oracle, "%.17g" of each value one at a time,
+    with the values laid out in rows of each width."""
+    values = np.asarray(values, dtype=float)
+    texts = ["%.17g" % x for x in values.tolist()]
+    # scientific notation, a sign (-0 too), nan or inf
+    fallbacks = sum(1 for t in texts if "e" in t or "n" in t or t[0] == "-")
+    for cols in widths:
+        pad = -values.size % cols
+        rows = np.concatenate([values, np.ones(pad)]).reshape(-1, cols)
+        cells = texts + ["1"] * pad
+        want = "".join(
+            ",".join(cells[i : i + cols]) + "\n" for i in range(0, len(cells), cols)
+        )
+        calls = _record_fallbacks(monkeypatch)
+        assert geometry._fmt_rows(list(rows.T)) == want.encode()
+        # the array path renders every value in fixed notation itself
+        assert len(calls) == fallbacks
+        monkeypatch.undo()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1),  # any double: +-0, subnormal, nan, +-inf
+            st.floats(1e-6, 2e17).map(lambda x: int(np.float64(x).view(np.uint64))),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    cols=st.integers(1, 4),
+)
+def test_fmt_rows_matches_percent_17g_on_any_double(bits, cols):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_fmt_rows(values, monkeypatch, (cols,))
+
+
+def test_fmt_rows_matches_percent_17g_at_ties_and_powers_of_ten(monkeypatch):
+    # dyadic ties: for odd q, q / 2**k is an exact tie at 17 digits when the
+    # integer q * 5**k (which ends in 5) has 18 digits; 281,921 of them for
+    # q < 4e5, k < 30
+    ties = []
+    for k in range(30):
+        lo = max(1, -(-(10**17) // 5**k))
+        hi = min(4 * 10**5, (10**18 - 1) // 5**k + 1)
+        ties.append(np.arange(lo | 1, hi, 2, dtype=float) / 2.0**k)
+    ties = np.concatenate(ties)
+    # the doubles nearest each power of ten and their neighbours
+    exponents = np.arange(-324, 309).repeat(3)
+    powers = np.array([float(f"1e{x}") for x in range(-324, 309)])
+    powers = np.column_stack(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    ).ravel()
+    # some lie below their power but round up to it at 17 digits
+    round_up = [
+        x
+        for x, e in zip(powers, exponents)
+        if 0.0 < x < Fraction(10) ** int(e)
+        and re.fullmatch(r"(10*|0\.0*1)(e[-+]\d+)?", "%.17g" % x)
+    ]
+    assert len(round_up) == 14
+    values = np.concatenate(
+        [ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), powers]
+    )
+    _check_fmt_rows(values, monkeypatch)
+
+
+def test_fmt_rows_of_no_rows_is_empty():
+    assert geometry._fmt_rows([np.empty(0), np.empty(0)]) == b""

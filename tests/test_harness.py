@@ -466,7 +466,7 @@ def test_failed_profile_deletes_its_partial_table(
 
 def test_failed_profile_leaves_a_device_in_place(ellipse_path, monkeypatch):
     def failing_table(frame, render, write):
-        write("partial\n")
+        write(b"partial\n")  # the table is written through a binary handle
         raise DomainError("seeded table failure")
 
     unlinked = []
