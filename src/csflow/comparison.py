@@ -42,9 +42,6 @@ TWO_PI = 2.0 * math.pi
 LOG_A_CAP = 700.0
 A_CAP = math.exp(LOG_A_CAP)
 
-_BISECTION_STEPS = 48
-_NEWTON_STEPS = 2
-
 # Curvature measurement floor for the diagonal ratio family (see profile).
 _DIAG_NOISE_FLOOR = 1e-10
 
@@ -159,17 +156,22 @@ def g_eval(z):
     """
     scalar = np.isscalar(z)
     z = np.asarray(z, dtype=float)
+    out = _g(z, np.arctan(z))
+    out = np.where(np.isinf(z), np.sign(z) * (0.5 * math.pi), out)
+    return _maybe_scalar(out, scalar)
+
+
+def _g(z: np.ndarray, atan_z: np.ndarray) -> np.ndarray:
+    """g(z) for finite z, from z and its precomputed arctan(z) (see g_eval)."""
     with np.errstate(over="ignore", invalid="ignore"):
         z2 = z * z
-        direct = np.arctan(z) - z / (1.0 + z2)
-        direct = np.where(np.isinf(z), np.sign(z) * (0.5 * math.pi), direct)
+        direct = atan_z - z / (1.0 + z2)
         series = z * z2 * (
             2.0 / 3.0
             - z2
             * (4.0 / 5.0 - z2 * (6.0 / 7.0 - z2 * (8.0 / 9.0 - z2 * (10.0 / 11.0))))
         )
-    out = np.where(np.abs(z) < 0.01, series, direct)
-    return _maybe_scalar(out, scalar)
+    return np.where(np.abs(z) < 0.01, series, direct)
 
 
 def h_second(v):
@@ -188,31 +190,36 @@ def _phi(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan(a * u) / a
 
 
+def _root_lower_bound(d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Closed-form lower bound on the root of phi(a, u) = d, for d < 2u.
+
+    Shafer's inequality arctan z > 3z / (1 + 2 sqrt(1 + z^2)), z > 0, at
+    the root z = a u, where arctan(z)/z = d/2u, solves to
+    a > sqrt(3 (2u - d)(6u + d)) / (2 d u). The bound is tight as z -> 0
+    and within a factor 3/pi of the root as z -> inf.
+    """
+    return np.sqrt(3.0 * (2.0 * u - d) * (6.0 * u + d)) / (2.0 * d * u)
+
+
 def _a_root(d: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Solve phi(a) = d for a > 0, elementwise; requires d < 2u.
 
-    Bracket: arctan(z) >= z - z^3/3 puts the root above
-    sqrt(1.5 (2u - d)/u^3), and phi(pi/d) < d puts it below pi/d. Bisection
-    runs in log a (the root spans many decades near the round-circle limit),
-    then two Newton steps polish to ~1e-15 relative.
+    Five Newton steps in theta = log a, theta += (arctan z - d a/2) / g(z)
+    with z = a u, from the Shafer bound b (_root_lower_bound), which lies
+    within log(pi/3) of the root, each clipped to [log b, log min(pi/d,
+    A_CAP)] (phi(pi/d) < d). Every pair takes the same steps in any call.
+    The relative error is the root's conditioning, arctan(z)/g(z), about
+    1.5/z^2, times an ulp or so: 1e-15 for z >= 1, 3e-4 at z = 1e-6.
     """
-    lo = np.sqrt(1.5 * (2.0 * u - d) / u**3)
-    hi = np.minimum(np.pi / d, A_CAP)
-    th_lo = np.log(lo)
-    th_hi = np.maximum(np.log(hi), th_lo)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (th_lo + th_hi)
-        above = _phi(np.exp(mid), u) > d  # still left of the root
-        th_lo = np.where(above, mid, th_lo)
-        th_hi = np.where(above, th_hi, mid)
-    th = 0.5 * (th_lo + th_hi)
-    for _ in range(_NEWTON_STEPS):
+    with np.errstate(divide="ignore", over="ignore"):
+        hi = np.log(np.minimum(np.pi / d, A_CAP))
+        lo = np.minimum(np.log(_root_lower_bound(d, u)), hi)
+    th = lo
+    for _ in range(5):
         a = np.exp(th)
-        resid = _phi(a, u) - d
-        slope = 2.0 * g_eval(a * u) / a  # = -d phi/d(log a)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = resid / slope
-        th = np.clip(np.where(np.isfinite(step), th + step, th), th_lo, th_hi)
+        z = a * u
+        atan_z = np.arctan(z)
+        th = np.clip(th + (atan_z - 0.5 * d * a) / _g(z, atan_z), lo, hi)
     return np.exp(th)
 
 
@@ -234,8 +241,10 @@ def a_solve(d, ell):
 
     Returns 0 when d >= 2 sin(ell/2) (the chord already clears the
     round-circle chord, so the infimum defining a is attained at its floor).
-    Otherwise the unique positive root, to 1e-12 relative, capped at
-    exp(700).
+    Otherwise the unique positive root, capped at exp(700), to the accuracy
+    its conditioning allows: with z = a sin(ell/2) and eps = 2.2e-16, the
+    relative error is about 1.5 eps/z^2 plus a few eps, so about 1e-15 for
+    z >= 1, 3e-12 at z = 1e-2 and 3e-4 at z = 1e-6 (see _a_root).
 
     Parameters
     ----------
@@ -272,21 +281,10 @@ def _a_values(d: np.ndarray, u: np.ndarray) -> np.ndarray:
 # about 1e-15 d; this slack keeps such a pair.
 _PRUNE_SLACK = 1e-13
 
-# Relative margin that puts the prune level under the closed-form bound.
-# The bound lies below the exact root, but where a u is near 1e-4 rounding
-# can put the computed root up to about 2e-8 below the bound (see profile).
+# Relative margin that puts the prune level under the closed-form bound,
+# and so under every computed root: the solver returns no less than the
+# bound, up to the rounding of exp(log b), under 1e-13 (see profile).
 _BOUND_MARGIN = 1e-7
-
-
-def _root_lower_bound(d: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Closed-form lower bound on the root of phi(a, u) = d, for d < 2u.
-
-    Shafer's inequality arctan z > 3z / (1 + 2 sqrt(1 + z^2)), z > 0, at
-    the root z = a u, where arctan(z)/z = d/2u, solves to
-    a > sqrt(3 (2u - d)(6u + d)) / (2 d u). The bound is tight as z -> 0
-    and within a factor 3/pi of the root as z -> inf.
-    """
-    return np.sqrt(3.0 * (2.0 * u - d) * (6.0 * u + d)) / (2.0 * d * u)
 
 
 class _SupA:
@@ -483,22 +481,21 @@ def profile(
     roots, in ascending pair order with the same elementwise solver as
     a_solve, so ties still go to the first pair.
 
-    Why no pair that holds the maximum M is dropped: A never exceeds the
-    computed root of the pair whose bound set it, which is at most M. The
-    bound lies below the exact root. Rounding in phi, a few ulp, moves the
-    computed root off the exact one by that much times arctan(z)/g(z),
-    about 1.5/z^2 for small z = a u; but the solver never returns less than
-    its own lower bracket, the Taylor bound, which lies within 0.3 z^2 of
-    the root. The computed root is therefore at most about 2e-8 below the
-    bound, in relative terms, which the 1e-7 margin covers; a root above
-    A_CAP is computed as A_CAP. So A <= M (1 - 8e-8) in every block and at
-    the end. The maximal pair's computed root lies in the solver's final
-    bracket [lo, hi], under 3e-12 wide in log a, and lo is either the
-    analytic lower bound of the root or a point where the computed phi
-    exceeded d. Either way lo > A, so phi(A, u) >= phi(lo, u) >= d up to a
-    few ulp of rounding in phi, which the test's 1e-13 relative slack
-    absorbs. The result therefore equals a_solve over all pairs followed by
-    argmax and count, bit for bit.
+    Why no pair that holds the maximum M is dropped. First, the solver
+    never returns less than its lower clip, the Shafer bound b (or A_CAP),
+    up to the rounding of exp(log b), under 1e-13 relative. So A = min(b,
+    A_CAP) (1 - 1e-7) lies below the computed root of the pair whose bound
+    set it, which is at most M. Second, phi is strictly decreasing, so at
+    the maximal pair phi(A, u) > phi(M, u), which is d up to a few ulp
+    (or above d, where M is the cap).
+    Where z = a u is small the computed M may lie above the exact root of
+    the stored (d, u) by about 1.5/z^2 ulp (3e-4 relative at z = 1e-6), but
+    there phi is flat: its relative slope in log a, g(z)/arctan(z), is
+    about z^2/1.5, so over that distance phi moves by a few ulp of d only.
+    So the computed phi(A, u) reads at least d up to a few ulp, which the
+    test's 1e-13 relative slack absorbs. Every pair takes the same solver
+    steps in any call, so the result equals a_solve over all pairs followed
+    by argmax and count, bit for bit.
 
     Returns
     -------

@@ -219,6 +219,59 @@ def test_a_solve_well_conditioned_range_is_tight():
     assert np.max(np.abs(a_solve(d, ell) / a - 1.0)) < 1e-9
 
 
+def _slow_roots(d, u):
+    """The oracle of the root solver: 200 bisection steps in long double on
+    2 arctan(a u)/a = d over (0, pi/d), from the float inputs d and u."""
+    d = np.asarray(d, dtype=np.longdouble)
+    u = np.asarray(u, dtype=np.longdouble)
+    lo, hi = np.zeros_like(d), np.pi / d
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = 2.0 * np.arctan(mid * u) / mid > d
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_a_solve_matches_a_long_double_oracle():
+    """Per decade of z = a u from 1e-6 to 1e6, a_solve stays within the
+    root's conditioning, about 1.5/z^2 times the rounding of phi, of the
+    long double root of the same float inputs."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    for e in range(-6, 7):
+        z = 10.0 ** rng.uniform(e - 0.5, e + 0.5, 400)
+        ell = rng.uniform(1e-3, math.pi, z.size)
+        u = np.sin(0.5 * ell)
+        d = _pairs_from_roots(z / u, ell)
+        live = d < 2.0 * u  # the smallest z can round onto the circle chord
+        d, ell, u = d[live], ell[live], u[live]
+        ref = _slow_roots(d, u)
+        err = np.abs(a_solve(d, ell) / ref - 1.0).astype(float)
+        z_ref = (ref * u).astype(float)
+        assert np.all(err <= 3.0 * eps / z_ref**2 + 16.0 * eps), e
+
+
+def test_a_root_evaluates_arctan_once_per_newton_step(monkeypatch):
+    # a guard on the solver's length that reads no clock: five steps, one
+    # arctan each, however many pairs share the call
+    calls = []
+    arctan = np.arctan
+
+    def counting(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return arctan(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arctan", counting)
+    d = np.array([1.0, 0.5, 1.9, 1e-3])
+    u = np.array([1.0, 0.3, 0.96, 0.5])
+    roots = _a_root(d, u)
+    assert calls == [d.size] * 5
+    monkeypatch.undo()
+    np.testing.assert_allclose(2.0 * np.arctan(roots * u) / roots, d, rtol=1e-13)
+
+
 def test_a_solve_monotone_in_chord():
     # longer chord at fixed arc means rounder, so smaller a
     ell = 2.0
@@ -775,15 +828,32 @@ def test_prune_level_lies_below_every_computed_root(pairs):
 
 
 def test_sup_a_keeps_a_maximum_shared_with_an_ill_conditioned_pair():
-    # both pairs have root 0.5; at the short arc z = a u is about 9e-5,
-    # where rounding in phi leaves the computed root 2.4e-9 below the bound,
-    # which follows the exact root of the stored chord
-    ell = np.array([math.pi, 3.61e-4])
-    d = _pairs_from_roots(np.full(2, 0.5), ell)
+    # pair 1 has z = a u near 1e-6, where the computed root strays from the
+    # exact root of the stored chord by up to about 1.5 eps/z^2: of the 64
+    # chords nearest the one of root 0.5, take the one whose computed root
+    # lies furthest above its oracle root
+    ell_m = 4e-6
+    u_m = float(np.sin(0.5 * ell_m))
+    chords = _pairs_from_roots(np.array([0.5]), np.array([ell_m]))
+    chords = chords * (1.0 + 2.0**-52 * np.arange(-32, 32))
+    computed = _a_root(chords, np.full(chords.size, u_m))
+    exact = _slow_roots(chords, np.full(chords.size, u_m)).astype(float)
+    k = int(np.argmax(computed / exact))
+    assert computed[k] > exact[k] * (1.0 + 1e-6)
+    # pair 0, at z = 1e-3, has its root halfway between the two; its bound,
+    # within about 0.008 z^2 of that root, puts the prune level above the
+    # exact root of pair 1, where phi is flat to about z^2 = 1e-12, so pair
+    # 1 reads phi(level) below its chord by no more than rounding
+    a_0 = 0.5 * (exact[k] + computed[k])
+    ell = np.array([2.0 * math.asin(1e-3 / a_0), ell_m])
+    d = np.array([_pairs_from_roots(np.array([a_0]), ell[:1])[0], chords[k]])
+    u = np.sin(0.5 * ell)
+    level = np.max(_root_lower_bound(d, u)) * (1.0 - _BOUND_MARGIN)
+    assert exact[k] < level < _a_root(d, u)[0] < computed[k]
     want = _sup_a_all_roots(d, ell)
-    assert want[0] == 0
+    assert want[0] == 1
     assert _blocked_sup_a(d, ell) == want
-    assert _blocked_sup_a(d[::-1], ell[::-1]) == (1, *want[1:])
+    assert _blocked_sup_a(d[::-1], ell[::-1]) == (0, *want[1:])
 
 
 @pytest.mark.parametrize(

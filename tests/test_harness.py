@@ -739,7 +739,7 @@ _UNNORMALIZED_SERIES_SHA256 = (
     "1080d5b8ec73417724006ca0ec301f6fb380ad5bc4202e6808a3316f913e0054"
 )
 _VERIFY_IDENTITIES_STDOUT_SHA256 = (
-    "8dd4443a8ace3f07fe6168c5d4b319c77113fdd3fbb347369de744644e59dac9"
+    "56b07f6291d562395936a5ddd546fff02fda474b344676b36e4445b5be66f4fc"
 )
 
 
