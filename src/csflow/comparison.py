@@ -31,6 +31,7 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CsflowError, DomainError
 from .geometry import CurveFrame, _row_blocks, all_pairs_chord_arc
@@ -104,8 +105,10 @@ def f_eval(x, t):
 
 def _arctan_ratio(z):
     """arctan(z)/z for z >= 0, with its limit 1 at z = 0."""
-    safe = np.where(z > 0.0, z, 1.0)
-    return np.where(z > 0.0, np.arctan(safe) / safe, 1.0)
+    with np.errstate(invalid="ignore"):
+        out = np.asarray(np.arctan(z) / z)
+    out[z <= 0.0] = 1.0
+    return out
 
 
 def f_x(x, t):
@@ -162,16 +165,20 @@ def g_eval(z):
 
 
 def _g(z: np.ndarray, atan_z: np.ndarray) -> np.ndarray:
-    """g(z) for finite z, from z and its precomputed arctan(z) (see g_eval)."""
+    """g(z) for finite z, from z and its precomputed arctan(z) (see g_eval):
+    the direct form, overwritten by the series where |z| < 0.01 only."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z2 = z * z
-        direct = atan_z - z / (1.0 + z2)
-        series = z * z2 * (
+        out = np.asarray(atan_z - z / (1.0 + z * z))
+    small = np.abs(z) < 0.01
+    if small.any():
+        zs = z[small]
+        z2 = zs * zs
+        out[small] = zs * z2 * (
             2.0 / 3.0
             - z2
             * (4.0 / 5.0 - z2 * (6.0 / 7.0 - z2 * (8.0 / 9.0 - z2 * (10.0 / 11.0))))
         )
-    return np.where(np.abs(z) < 0.01, series, direct)
+    return out
 
 
 def h_second(v):
@@ -288,11 +295,12 @@ _BOUND_MARGIN = 1e-7
 
 
 class _SupA:
-    """Running off-diagonal supremum of a over blocks of pairs fed in order.
+    """Running off-diagonal supremum of a over blocks of pairs.
 
-    :meth:`result` is bit for bit the pair at np.argmax, the max and
-    np.count_nonzero of a_solve over every pair fed, but roots are solved,
-    in one call, only for the pairs that survive the prune (see profile).
+    :meth:`result` is bit for bit the first pair in (i, j) order at the
+    maximum, the max and np.count_nonzero of a_solve over every pair fed,
+    but roots are solved, in one call, only for the pairs that survive the
+    prune (see profile), and only those pairs are decoded into vertices.
     """
 
     def __init__(self):
@@ -301,9 +309,11 @@ class _SupA:
         self.first = None  # the first pair fed, the argmax when none is active
         self.kept = []  # (i, j, d, u) of the pairs that passed the prune
 
-    def add(self, i, j, d: np.ndarray, u: np.ndarray) -> None:
-        """Fold in checked pairs (i, j), in order, with u = sin(ell/2)."""
+    def add(self, d: np.ndarray, u: np.ndarray, pairs) -> None:
+        """Fold in a block of checked chords d, with u = sin(ell/2);
+        ``pairs(k)`` gives the vertex pairs (i, j) at block positions k."""
         if self.first is None:
+            i, j = pairs(np.zeros(1, np.intp))
             self.first = int(i[0]), int(j[0])
         active = np.flatnonzero(d < 2.0 * u)
         if active.size == 0:
@@ -317,7 +327,7 @@ class _SupA:
         bound = min(float(np.max(_root_lower_bound(d_act, u_act))), A_CAP)
         self.floor = max(self.floor, bound * (1.0 - _BOUND_MARGIN))
         keep = active[self._passes(d_act, u_act)]
-        self.kept.append((i[keep], j[keep], d[keep], u[keep]))
+        self.kept.append((*pairs(keep), d[keep], u[keep]))
 
     def _passes(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
         if self.floor <= 0.0:  # no level yet: every pair passes
@@ -329,10 +339,11 @@ class _SupA:
         if self.n_active == 0:
             return self.first, 0.0, 0
         i, j, d, u = (np.concatenate(parts) for parts in zip(*self.kept))
-        keep = self._passes(d, u)  # again, at the final floor
+        order = np.lexsort((j, i))  # (i, j) order, so a tie goes to the first
+        keep = order[self._passes(d[order], u[order])]  # again, at the final floor
         roots = _a_root(d[keep], u[keep])
         k = int(np.argmax(roots))
-        return (int(i[keep][k]), int(j[keep][k])), float(roots[k]), self.n_active
+        return (int(i[keep[k]]), int(j[keep[k]])), float(roots[k]), self.n_active
 
 
 def a_diagonal(k):
@@ -363,8 +374,9 @@ class ProfileSummary:
     min_z_pair: tuple[int, int] | None = None
 
 
-# Pairs per row block of the profile sweep: small enough that a block's
-# temporaries stay in cache, large enough to amortize the per-block calls.
+# Pairs per block of the profile sweep and per row block of the ratio
+# table: small enough that a block's temporaries stay in cache, large enough
+# to amortize the per-block calls.
 _BLOCK_PAIRS = 2**14
 
 
@@ -376,9 +388,9 @@ def _require_canonical(frame: CurveFrame) -> None:
 
 
 def _block_rows(n: int) -> list[tuple[int, int]]:
-    """The row blocks ``(i0, i1)`` of the pairs of an n-gon: rows [i0, i1)
-    holding at least _BLOCK_PAIRS pairs (or the rest), tiling [0, n - 1) in
-    order (row n - 1 holds no pairs)."""
+    """The row blocks ``(i0, i1)`` of the ratio table of an n-gon: rows
+    [i0, i1) holding at least _BLOCK_PAIRS pairs (or the rest), tiling
+    [0, n - 1) in order (row n - 1 holds no pairs)."""
     return _row_blocks(np.arange(n - 1, 0, -1), _BLOCK_PAIRS)
 
 
@@ -393,10 +405,58 @@ def _pair_block(frame: CurveFrame, i0: int, i1: int):
     return i_idx, j_idx, d, ell, np.sin(0.5 * ell)
 
 
-def _pair_blocks(frame: CurveFrame):
-    """Every vertex pair of a canonical frame, one :func:`_pair_block` per
-    row block of :func:`_block_rows`, in np.triu_indices order."""
-    return (_pair_block(frame, *rows) for rows in _block_rows(frame.n))
+def _offset_chord_arc(windows, length: float, k0: int, k1: int):
+    """Chords and shorter arcs, clipped to pi, of the pairs (i, i + k mod n)
+    for the offsets k0 <= k < k1, flat at position (k - k0) n + i; at
+    k = n/2 with even n only i < n/2, since i + n/2 pairs back with i.
+    ``windows`` holds x, y and s as in :func:`_offset_blocks`.
+
+    Each pair gets the bits of :func:`all_pairs_chord_arc`: a wrapped pair
+    (j', i), j' < i, reads x[j'] - x[i], the exact negative of the table's
+    difference, so the squares agree, and its arc |s[j'] - s[i]|.
+    """
+    wx, wy, ws = windows
+    n = wx.shape[1]
+    size = (k1 - k0) * n - (n // 2 if 2 * (k1 - 1) == n else 0)
+    d = (wx[k0:k1] - wx[0]).ravel()[:size]
+    dy = (wy[k0:k1] - wy[0]).ravel()[:size]
+    d *= d
+    dy *= dy
+    d += dy
+    np.sqrt(d, out=d)
+    arc = (ws[k0:k1] - ws[0]).ravel()[:size]
+    np.abs(arc, out=arc)
+    ell = np.subtract(length, arc)
+    np.minimum(arc, ell, out=ell)
+    return d, np.minimum(ell, math.pi, out=ell)
+
+
+def _offset_pairs(n: int, k0: int, pos: np.ndarray):
+    """The vertex pairs (i, j), i < j, at positions ``pos`` of the block of
+    offsets from k0 (see _offset_chord_arc)."""
+    kk, i = np.divmod(pos, n)
+    j = (i + k0 + kk) % n
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _offset_blocks(frame: CurveFrame):
+    """Every vertex pair of a canonical frame, in blocks of the offsets
+    k = 1 ... n/2, about _BLOCK_PAIRS pairs (and at least one offset) each,
+    as ``(d, u, pairs)``: the chords and u = sin(ell/2), past the domain
+    check of a_solve, and ``pairs(pos)``, the vertex pairs at positions pos
+    of the block."""
+    n = frame.n
+    # x, y and s doubled, as sliding windows of length n: row k holds the
+    # values at vertices k, k + 1, ..., k + n - 1 (mod n), row 0 the array
+    cols = (frame.vertices[:, 0], frame.vertices[:, 1], frame.arclength)
+    windows = [sliding_window_view(np.concatenate((c, c)), n) for c in cols]
+    step = max(1, _BLOCK_PAIRS // n)
+    for k0 in range(1, n // 2 + 1, step):
+        k1 = min(k0 + step, n // 2 + 1)
+        d, ell = _offset_chord_arc(windows, frame.length, k0, k1)
+        _validate_pairs(d, ell)
+        ell *= 0.5
+        yield d, np.sin(ell, out=ell), functools.partial(_offset_pairs, n, k0)
 
 
 def _decay(t: float, t_bar: float):
@@ -410,18 +470,32 @@ def _decay(t: float, t_bar: float):
         return np.exp(-np.asarray(t - t_bar))
 
 
-def _fold_min_z(best, block, e):
-    """Running (min Z, pair) after one block; ties go to the first pair.
+class _MinZ:
+    """Running min Z over blocks of pairs, and the first pair in (i, j)
+    order that attains it; ``e`` is the :func:`_decay` factor of the offset."""
 
-    Z = d - f(l, t - t_bar) = d - 2u arctan(z)/z, z = e u, from the block's
-    own u; e = 0 gives the round circle's Z = d - 2u, bit for bit.
-    """
-    i_idx, j_idx, d, _, u = block
-    z_cmp = d - 2.0 * u * _arctan_ratio(e * u)
-    k = int(np.argmin(z_cmp))
-    if z_cmp[k] < best[0]:
-        return float(z_cmp[k]), (int(i_idx[k]), int(j_idx[k]))
-    return best
+    def __init__(self, e):
+        self.e = e
+        self.value, self.pair = math.inf, None
+
+    def add(self, d: np.ndarray, u: np.ndarray, pairs) -> None:
+        """Fold in a block as :meth:`_SupA.add` takes it.
+
+        Z = d - f(l, t - t_bar) = d - 2u arctan(z)/z, z = e u, from the
+        block's own u; e = 0 gives the round circle's Z = d - 2u, bit for
+        bit. Only the pairs at a block minimum that reaches the running one
+        are decoded.
+        """
+        z_cmp = d - 2.0 * u * _arctan_ratio(self.e * u)
+        low = z_cmp.min()
+        if low > self.value:
+            return
+        pos = np.flatnonzero(z_cmp == low)
+        i, j = pairs(pos)
+        k = int(np.lexsort((j, i))[0])
+        pair = int(i[k]), int(j[k])
+        if low < self.value or pair < self.pair:
+            self.value, self.pair = float(low), pair
 
 
 def _summary(frame, pair_off, off_max, n_active) -> ProfileSummary:
@@ -462,10 +536,25 @@ def profile(
     evaluated against the offset ``t_bar``, a real number or -inf, or
     against the curve's own offset when none is given. ``t`` must be finite.
 
-    The pairs are swept once, in row blocks of about _BLOCK_PAIRS pairs, so
-    memory stays O(N + block) and each block's arrays stay in cache. With an
-    explicit offset, min Z is reduced in the same sweep; the curve's own
-    offset needs a_bar first, so that case sweeps a second time for Z.
+    The pairs are swept once, offset by offset: pair (i, i + k mod n) for
+    k = 1 ... n/2, and at k = n/2 with even n only i < n/2. A block is a run
+    of offsets of about _BLOCK_PAIRS pairs, read as strided windows of the
+    doubled x, y and s arrays (see _offset_chord_arc), so the sweep builds
+    no per-pair index arrays, gathers nothing, and memory stays
+    O(N + block). Vertex indices are decoded only for the pairs that
+    survive the prune below and for those at a block's minimum of Z. Ties
+    go to the first pair in np.triu_indices order, which is (i, j) order:
+    the prune's survivors are put in that order before their roots are
+    solved, and a tied minimum of Z keeps the smaller pair. With an explicit offset,
+    min Z is reduced in the same sweep; the curve's own offset needs a_bar
+    first, so that case sweeps a second time for Z.
+
+    A chord is sqrt(dx*dx + dy*dy), as in :func:`all_pairs_chord_arc`, so
+    each pair carries the same bits as its row of :func:`ratio_table`.
+    Without hypot's scaling nothing over- or underflows here: on a
+    canonical frame |dx| and |dy| are at most pi, and a chord of an
+    embedded curve is at least its embeddedness tolerance, far above the
+    square root of the smallest double.
 
     The off-diagonal supremum solves roots in one call, for a few of the
     pairs. A pair is active when d < 2u, u = sin(l/2); the others have
@@ -502,20 +591,18 @@ def profile(
     ProfileSummary
     """
     _require_canonical(frame)
-    e = None if t_bar is None else _decay(t, t_bar)
     sup = _SupA()
-    best_z = (math.inf, None)
-    for block in _pair_blocks(frame):
-        i_idx, j_idx, d, _, u = block
-        sup.add(i_idx, j_idx, d, u)
-        if e is not None:
-            best_z = _fold_min_z(best_z, block, e)
+    min_z = None if t_bar is None else _MinZ(_decay(t, t_bar))
+    for block in _offset_blocks(frame):
+        sup.add(*block)
+        if min_z is not None:
+            min_z.add(*block)
     summary = _summary(frame, *sup.result())
-    if e is None:
-        e = _decay(t, summary.t_bar)
-        for block in _pair_blocks(frame):
-            best_z = _fold_min_z(best_z, block, e)
-    return replace(summary, min_z=best_z[0], min_z_pair=best_z[1])
+    if min_z is None:
+        min_z = _MinZ(_decay(t, summary.t_bar))
+        for block in _offset_blocks(frame):
+            min_z.add(*block)
+    return replace(summary, min_z=min_z.value, min_z_pair=min_z.pair)
 
 
 # -- forked workers ----------------------------------------------------------
@@ -617,10 +704,12 @@ def ratio_table(frame: CurveFrame, render, write) -> ProfileSummary:
     block at a time: ``render(ell, d, a)`` turns a block into what ``write``
     takes, and ``write`` gets the rendered blocks in np.triu_indices order.
 
-    The blocks are those of the profile sweep, ell clipped to pi, and a is
-    a_solve over each block, bit for bit, from the chords and the u that
-    the sweep has already checked and computed, so memory stays
-    O(N + block). With more than one block and several usable cores (see
+    The blocks are rows of about _BLOCK_PAIRS pairs, since the rows come
+    out in np.triu_indices order, ell clipped to pi, and a is a_solve over
+    each block, bit for bit, from the chords and the u that the block has
+    already checked and computed, so memory stays O(N + block). Each pair
+    has the chord, arc and u of :func:`profile`'s offset-major sweep, bit
+    for bit. With more than one block and several usable cores (see
     _pool_size), the blocks are solved and rendered in forked workers, which
     send back what ``render`` returns, and only ``write`` runs in this
     process; otherwise, and as the oracle of the pool, one after another

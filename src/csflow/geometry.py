@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -398,12 +397,15 @@ def all_pairs_chord_arc(frame: CurveFrame, i0: int = 0, i1: int | None = None):
     Returns ``(i_idx, j_idx, d, ell)`` as flat arrays in
     ``np.triu_indices(n, k=1)`` order; the whole range holds the
     ``n*(n-1)/2`` pairs, and row ranges that tile it concatenate to it.
+    The chord is ``sqrt(dx*dx + dy*dy)``, the form of the profile's sweep
+    (see :func:`csflow.comparison.profile`), so both give a pair one value.
     """
     n = frame.n
     rows = np.arange(i0, n if i1 is None else i1)
     i_idx, j_idx = _row_pairs(rows, n - 1 - rows)
     x, y, s = frame.vertices[:, 0], frame.vertices[:, 1], frame.arclength
-    d = np.hypot(x[j_idx] - x[i_idx], y[j_idx] - y[i_idx])
+    dx, dy = x[j_idx] - x[i_idx], y[j_idx] - y[i_idx]
+    d = np.sqrt(dx * dx + dy * dy)
     arc = s[j_idx] - s[i_idx]
     ell = np.minimum(arc, frame.length - arc)
     return i_idx, j_idx, d, ell
@@ -443,22 +445,23 @@ def _fmt(x: float) -> str:
 
 # -- "%.17g" for arrays ------------------------------------------------------
 #
-# _fmt_rows renders itself each value that "%.17g" prints in fixed notation
-# without a sign, and hands the rest (negative, -0, below 1e-4, from 1e17
-# on, not finite) to _fmt. Such a value is the 17-digit integer
-# D = x * 10**(16 - e), rounded half to even, and its decimal exponent e in
-# [-4, 16] (+0 is D = 0, e = 0). Its text is laid out in a 32-byte slot:
+# _fmt_rows renders itself each value that "%.17g" prints in fixed notation,
+# and hands the rest (magnitude below 1e-4 or from 1e17 on, not finite) to
+# _fmt. Such a value's magnitude |x| is the 17-digit integer
+# D = |x| * 10**(16 - e), rounded half to even, and its decimal exponent e
+# in [-4, 16] (0 is D = 0, e = 0). Its text is laid out in a 32-byte slot:
 # S = "0000", "000h" and four 4-digit groups (D's 17 digits at bytes
 # 7..23), then 8 unused bytes; the point goes in before byte e + 8, so the
 # bytes after it come from S shifted by one byte. Which bytes survive (the
-# leading "0" or the integer digits, the point, the fraction up to its last
-# nonzero digit, the separator) depends on e and D's trailing zeros only,
-# and is read off small tables; one mask compacts the slots.
+# sign, in the byte before the first kept digit, the leading "0" or the
+# integer digits, the point, the fraction up to its last nonzero digit, the
+# separator) depends on the sign, e and D's trailing zeros only, and is
+# read off small tables; one mask compacts the slots.
 
 _POW10 = np.array([float(10**k) for k in range(22)])  # exact: 5**21 < 2**53
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _FMT_ROWS = 2048  # rows per sub-block, so the temporaries stay small
-_LAYOUTS = 21 * 17  # (e, trailing zeros) pairs
+_LAYOUTS = 21 * 17  # (e, trailing zeros) pairs, per sign
 
 
 def _split(a):
@@ -498,7 +501,8 @@ def _fmt_tables():
     """The four-digit ASCII groups, their trailing zeros, and the slot
     layout of each (e, trailing zeros) pair, e in [-4, 16], zeros in
     [0, 16]: bytes taken from S, bytes taken from S shifted, the constant
-    bytes (point and separator, "," then "\\n") and the bytes kept.
+    bytes (sign, point and separator: "," then "\\n", unsigned, then both
+    again with a "-") and the bytes kept (unsigned, then signed).
 
     Built on first use, from Python bytes into read-only arrays, so that a
     process that renders no table holds none of it, and one that does keeps
@@ -517,25 +521,32 @@ def _fmt_tables():
         )
     for tz, place in enumerate((10, 100, 1000, 10_000), 1):
         zeros4[::place] = bytes([tz]) * (10_000 // place)
-    from_s, from_shifted, comma, newline, keep = (bytearray() for _ in range(5))
+    from_s, from_shifted = bytearray(), bytearray()
+    fixed = {(sign, sep): bytearray() for sign in (0, 1) for sep in b",\n"}
+    keep = {sign: bytearray() for sign in (0, 1)}
     for e in range(-4, 17):
         point, start = e + 8, min(e, 0) + 7
         for tz in range(17):
             last = 24 - tz if 23 - tz >= point else point - 1  # last byte written
             from_s += run(start, point, 0xFF)
             from_shifted += run(point + 1, last + 1, 0xFF)
-            for table, sep in ((comma, b","), (newline, b"\n")):
-                fixed = run(last + 1, last + 2, sep[0])
+            for (sign, sep), table in fixed.items():
+                slot = run(last + 1, last + 2, sep)
                 if point < last:  # a fraction is left
-                    fixed[point] = ord(".")
-                table += fixed
-            keep += run(start, last + 2, 1)
+                    slot[point] = ord(".")
+                if sign:
+                    slot[start - 1] = ord("-")
+                table += slot
+            for sign, table in keep.items():
+                table += run(start - sign, last + 2, 1)
     return (
         np.frombuffer(bytes(ascii4), "<u4"),
         np.frombuffer(bytes(zeros4), np.uint8),
         *(
             np.frombuffer(bytes(t), "<u8").reshape(-1, 4)
-            for t in (from_s, from_shifted, comma + newline, keep)
+            for t in (
+                from_s, from_shifted, b"".join(fixed.values()), b"".join(keep.values())
+            )
         ),
     )
 
@@ -545,9 +556,11 @@ def _fmt_block(x: np.ndarray, last_col: np.ndarray) -> bytes:
     last_col is 1, by "\\n"."""
     ascii4, zeros4, from_s, from_shifted, fixed, keep = _fmt_tables()
     n = x.size
-    fast = (x >= 1e-5) & (x < 1e17)
-    zero = (x == 0.0) & ~np.signbit(x)
-    x_fast = np.where(fast, x, 1.0)
+    neg = np.signbit(x).astype(np.intp)
+    mag = np.abs(x)
+    fast = (mag >= 1e-5) & (mag < 1e17)
+    zero = mag == 0.0
+    x_fast = np.where(fast, mag, 1.0)
     e = np.floor(np.log10(x_fast)).astype(np.intp)
     e.clip(-5, 16, out=e)
     d = _digits17(x_fast, e)
@@ -586,10 +599,10 @@ def _fmt_block(x: np.ndarray, last_col: np.ndarray) -> bytes:
     out = np.empty_like(s)  # "<u8" as s is, so its bytes are the text on any host
     np.bitwise_and(s, np.take(from_s, layout, axis=0).ravel(), out=out)
     out |= shifted & np.take(from_shifted, layout, axis=0).ravel()
-    out |= np.take(fixed, layout + _LAYOUTS * last_col, axis=0).ravel()
+    out |= np.take(fixed, layout + _LAYOUTS * (last_col + 2 * neg), axis=0).ravel()
 
     text = out.view(np.uint8).reshape(n, 32)
-    kept = np.take(keep, layout, axis=0).view(bool).reshape(n, 32)
+    kept = np.take(keep, layout + _LAYOUTS * neg, axis=0).view(bool).reshape(n, 32)
     for v in np.flatnonzero(~fast):
         slot = (_fmt(x[v]) + ("\n" if last_col[v] else ",")).encode()
         text[v, : len(slot)] = np.frombuffer(slot, np.uint8)
@@ -615,25 +628,19 @@ def save_curve(curve: DiscreteCurve, path: str | Path) -> None:
     """Write a curve as JSON ({"vertices": [[x, y], ...]}) or two-column CSV.
 
     Format chosen by extension (.json or .csv); floats carry 17 significant
-    digits.
+    digits, each value the text of _fmt, rendered by :func:`_fmt_rows`.
     """
     path = Path(path)
-    if path.suffix == ".json":
-        # "%.17g" formats a float exactly as _fmt does
-        rows = ",\n    ".join(
-            "[%.17g, %.17g]" % tuple(row) for row in curve.vertices.tolist()
-        )
-        name_part = f',\n  "name": {json.dumps(curve.name)}' if curve.name else ""
-        text = f'{{\n  "vertices": [\n    {rows}\n  ]{name_part}\n}}\n'
-        path.write_text(text)
-    elif path.suffix == ".csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for x, y in curve.vertices:
-            writer.writerow([_fmt(x), _fmt(y)])
-        path.write_text(buf.getvalue())
-    else:
+    if path.suffix not in (".json", ".csv"):
         raise CurveFormatError(f"unsupported curve file extension: {path.suffix}")
+    text = _fmt_rows(curve.vertices.T)
+    if path.suffix == ".json":
+        # rows "[x, y]" joined by ",\n    ": no value's text holds "," or "\n"
+        sep = b"],\n    ["
+        rows = text.replace(b",", b", ").replace(b"\n", sep)[: -len(sep)]
+        name_part = f',\n  "name": {json.dumps(curve.name)}' if curve.name else ""
+        text = b'{\n  "vertices": [\n    [%s]\n  ]%s\n}\n' % (rows, name_part.encode())
+    path.write_bytes(text)
 
 
 def load_curve(path: str | Path) -> DiscreteCurve:

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .geometry import (
     DiscreteCurve,
-    _fmt,
     _fmt_rows,
     build_frame,
     canonical_scale,
@@ -338,11 +337,9 @@ _SERIES_COLUMNS = ("time", *FRAME_COLUMNS, *PROFILE_COLUMNS, "l2_dev")
 def write_series_csv(result: RunResult, path: Path) -> None:
     """One row per snapshot of the run's measures; unmeasured columns read nan."""
     m = result.measures
-    cols = [getattr(m, c) for c in _SERIES_COLUMNS]
-    lines = [SERIES_HEADER]
-    for i, step in enumerate(m.step):
-        lines.append(",".join([str(step)] + [_fmt(c[i]) for c in cols]))
-    path.write_text("\n".join(lines) + "\n")
+    # "%.17g" of a step below 2**53, taken as a float, is its str()
+    cols = [m.step, *(getattr(m, c) for c in _SERIES_COLUMNS)]
+    path.write_bytes(SERIES_HEADER.encode() + b"\n" + _fmt_rows(cols))
 
 
 def persist_run(result: RunResult) -> Path:

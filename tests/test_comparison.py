@@ -1,5 +1,7 @@
 """Barrier function, ratio solver, profiles, and analytic identity sweeps."""
 
+import collections
+import functools
 import math
 import multiprocessing
 import os
@@ -12,15 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csflow import comparison, harness
+from csflow import comparison, geometry, harness
 from csflow.comparison import (
     _BOUND_MARGIN,
     _DIAG_NOISE_FLOOR,
     A_CAP,
     AnalyticEllipse,
     ProfileSummary,
+    _MinZ,
     _SupA,
     _a_root,
+    _offset_chord_arc,
     _root_lower_bound,
     a_diagonal,
     a_solve,
@@ -81,6 +85,43 @@ def test_g_exact_values():
     z = 0.009999
     ref = math.atan(z) - z / (1 + z * z)
     assert g_eval(z) == pytest.approx(ref, rel=1e-10)
+
+
+def _g_whole_array(z, atan_z):
+    """_g as first written: the direct form and the series on every element,
+    then np.where on |z| < 0.01."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = z * z
+        direct = atan_z - z / (1.0 + z2)
+        series = z * z2 * (
+            2.0 / 3.0
+            - z2
+            * (4.0 / 5.0 - z2 * (6.0 / 7.0 - z2 * (8.0 / 9.0 - z2 * (10.0 / 11.0))))
+        )
+    return np.where(np.abs(z) < 0.01, series, direct)
+
+
+def test_g_matches_the_whole_array_expression_bit_for_bit():
+    # both sides of the switch at |z| = 0.01, over 16 decades and both signs
+    rng = np.random.default_rng(5)
+    switch = [0.01, np.nextafter(0.01, 0.0), np.nextafter(0.01, 1.0)]
+    mag = np.concatenate([10.0 ** rng.uniform(-8.0, 8.0, 100_000), [0.0], switch])
+    z = np.concatenate([mag, -mag])
+    want = _g_whole_array(z, np.arctan(z))
+    assert np.array_equal(comparison._g(z, np.arctan(z)), want)
+    assert np.array_equal(g_eval(z), want)
+    for v in (0.005, -0.005, 0.01, 0.02):
+        assert g_eval(v) == _g_whole_array(np.asarray(v), np.arctan(v))
+
+
+def test_arctan_ratio_matches_the_where_form_bit_for_bit():
+    # arctan(z)/z with 1 at z <= 0, as np.where over a guarded divisor gave it
+    rng = np.random.default_rng(6)
+    z = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 100_000), [0.0, np.inf]])
+    safe = np.where(z > 0.0, z, 1.0)
+    want = np.where(z > 0.0, np.arctan(safe) / safe, 1.0)
+    assert np.array_equal(comparison._arctan_ratio(z), want)
+    assert comparison._arctan_ratio(np.asarray(0.0)) == 1.0
 
 
 def test_h_exact_values():
@@ -300,12 +341,17 @@ def z_eval(d, ell, t, t_bar):
     return d - f_eval(ell, t - t_bar)
 
 
+def _diagonal_pairs(first):
+    """The pair decoder of a block whose position k holds the pair
+    (first + k, first + k), as the tests of the folds feed their pairs."""
+    return lambda pos: (pos + first, pos + first)
+
+
 def _min_z(d, ell, t, t_bar):
     """min Z and its pair (k, k) from the profile's fold, over one block."""
-    u = np.sin(0.5 * ell)
-    k = np.arange(d.size)
-    block = (k, k, d, ell, u)
-    return comparison._fold_min_z((math.inf, None), block, comparison._decay(t, t_bar))
+    fold = _MinZ(comparison._decay(t, t_bar))
+    fold.add(d, np.sin(0.5 * ell), _diagonal_pairs(0))
+    return fold.value, fold.pair
 
 
 def test_z_eval_round_circle_branch():
@@ -567,19 +613,19 @@ def _blocked_sup_a(d, ell, cuts=()):
     """_SupA fed pair k as (k, k), in the blocks that ``cuts`` marks off;
     its result with the pair read back as k."""
     sup = _SupA()
-    k = np.arange(d.size)
     bounds = [0, *cuts, d.size]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        sup.add(k[a:b], k[a:b], d[a:b], np.sin(0.5 * ell[a:b]))
+        sup.add(d[a:b], np.sin(0.5 * ell[a:b]), _diagonal_pairs(a))
     (i, j), a_max, n_active = sup.result()
     assert i == j
     return i, a_max, n_active
 
 
-def _profile_all_roots(frame, t_bar=None, t=0.0):
-    """The whole profile from one whole-range sweep: a_solve on every pair,
-    argmax and count, the diagonal family, and z_eval with argmin."""
-    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
+def _profile_all_roots(frame, t_bar=None, t=0.0, pairs=None):
+    """The whole profile from one whole-range sweep (or from ``pairs``, its
+    arrays): a_solve on every pair, argmax and count, the diagonal family,
+    and z_eval with argmin, all in np.triu_indices order."""
+    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame) if pairs is None else pairs
     ell = np.minimum(ell, math.pi)
     im, off_max, n_active = _sup_a_all_roots(d, ell)
     k = frame.curvature
@@ -681,34 +727,44 @@ def test_blocked_min_z_matches_z_eval_bit_for_bit(pairs, t):
     if cuts:  # a tie at the minimum on both sides of the first boundary
         low = int(np.argmin(z_eval(d, ell, t, 0.3)))
         d[[cuts[0] - 1, cuts[0]]], ell[[cuts[0] - 1, cuts[0]]] = d[low], ell[low]
-    k = np.arange(d.size)
     for t_bar in (0.3, -math.inf):
         z = z_eval(d, ell, t, t_bar)
         want = float(z.min()), (int(np.argmin(z)),) * 2
-        best = (math.inf, None)
-        e = comparison._decay(t, t_bar)
+        fold = _MinZ(comparison._decay(t, t_bar))
         bounds = [0, *cuts, d.size]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            u = np.sin(0.5 * ell[a:b])
-            block = (k[a:b], k[a:b], d[a:b], ell[a:b], u)
-            best = comparison._fold_min_z(best, block, e)
-        assert best == want
+            fold.add(d[a:b], np.sin(0.5 * ell[a:b]), _diagonal_pairs(a))
+        assert (fold.value, fold.pair) == want
 
 
 @pytest.mark.parametrize("n", [8, 9, 300])
 def test_pair_blocks_tile_every_pair_in_order(n, monkeypatch):
+    # the profile's offset blocks hold every pair once, offset by offset and
+    # then by the vertex each pair starts from, with the chords and u of the
+    # whole-range sweep, bit for bit
     frame = build_frame(canonical_scale(gen_fourier(n, 4, n)))
     i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
-    ell = np.minimum(ell, math.pi)
+    u = np.sin(0.5 * np.minimum(ell, math.pi))
+    flat = np.full((n, n), -1)
+    flat[i_idx, j_idx] = np.arange(i_idx.size)
     for block_pairs in (comparison._BLOCK_PAIRS, 1, 7, 10**9):
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
-        blocks = list(comparison._pair_blocks(frame))
-        if block_pairs == 1:
-            assert len(blocks) == n - 1  # one row per block
-        got = [np.concatenate(col) for col in zip(*blocks)]
-        assert len(got) == 5
-        for have, want in zip(got, (i_idx, j_idx, d, ell, np.sin(0.5 * ell))):
-            assert np.array_equal(have, want)
+        blocks = list(comparison._offset_blocks(frame))
+        if block_pairs < n:
+            assert len(blocks) == n // 2  # one offset per block
+        seen = []
+        for d_blk, u_blk, pairs in blocks:
+            i, j = pairs(np.arange(d_blk.size))
+            assert np.all(i < j)
+            k = flat[i, j]
+            assert np.array_equal(d_blk, d[k]) and np.array_equal(u_blk, u[k])
+            seen.append(k)
+        seen = np.concatenate(seen)
+        assert np.array_equal(np.sort(seen), np.arange(i_idx.size))
+        gap = (j_idx - i_idx)[seen]
+        offset = np.minimum(gap, n - gap)
+        start = np.where(gap == offset, i_idx[seen], j_idx[seen])
+        assert np.array_equal(np.lexsort((start, offset)), np.arange(seen.size))
 
 
 def test_sup_a_edge_cases_match_all_roots():
@@ -734,21 +790,21 @@ def test_sup_a_edge_cases_match_all_roots():
 
 
 def _with_bad_pair(d=None, ell=None):
-    """A pair kernel that corrupts the last pair of every row block but the
-    first, and records the row ranges asked of it."""
+    """A chord/arc kernel for the profile's sweep that corrupts the last
+    pair of every block of offsets but the first, and records the
+    arguments of each call."""
 
-    def kernel(frame, i0=0, i1=None):
-        kernel.ranges.append((i0, i1))
-        i_idx, j_idx, d_blk, ell_blk = all_pairs_chord_arc(frame, i0, i1)
-        if i0 > 0 and d_blk.size:
-            d_blk, ell_blk = d_blk.copy(), ell_blk.copy()
+    def kernel(windows, length, k0, k1):
+        kernel.calls.append((windows, length, k0, k1))
+        d_blk, ell_blk = _offset_chord_arc(windows, length, k0, k1)
+        if k0 > 1 and d_blk.size:
             if d is not None:
                 d_blk[-1] = d(ell_blk[-1])
             if ell is not None:
                 ell_blk[-1] = ell
-        return i_idx, j_idx, d_blk, ell_blk
+        return d_blk, ell_blk
 
-    kernel.ranges = []
+    kernel.calls = []
     return kernel
 
 
@@ -760,20 +816,20 @@ def test_sup_a_raises_the_domain_errors_of_a_solve(monkeypatch):
         (_with_bad_pair(d=lambda l: -1.0), "chord length must be positive"),
         (_with_bad_pair(ell=0.0), "arc length"),
     ):
-        monkeypatch.setattr(comparison, "all_pairs_chord_arc", bad)
+        monkeypatch.setattr(comparison, "_offset_chord_arc", bad)
         with pytest.raises(DomainError, match=match):
             profile(frame)
     past = _with_bad_pair(d=lambda l: l * (1.0 + 2e-9))
-    monkeypatch.setattr(comparison, "all_pairs_chord_arc", past)
+    monkeypatch.setattr(comparison, "_offset_chord_arc", past)
     with pytest.raises(DomainError, match="chord exceeds arc") as got:
         profile(frame)
-    assert len(past.ranges) == 2  # the second block raised
-    _, _, d, ell = past(frame, *past.ranges[-1])
+    assert len(past.calls) == 2  # the second block raised
+    d, ell = past(*past.calls[-1])
     with pytest.raises(DomainError) as want:
         a_solve(d, np.minimum(ell, math.pi))
     assert got.value.to_json_dict() == want.value.to_json_dict()
     inside = _with_bad_pair(d=lambda l: l * (1.0 + 5e-10))  # within the slack
-    monkeypatch.setattr(comparison, "all_pairs_chord_arc", inside)
+    monkeypatch.setattr(comparison, "_offset_chord_arc", inside)
     profile(frame)
 
 
@@ -789,16 +845,102 @@ def test_sup_a_raises_the_domain_errors_of_a_solve(monkeypatch):
         lambda: gen_fourier(1, 6, 256),
         lambda: gen_fourier(2, 6, 512),
         lambda: gen_fourier(7, 3, 256),
+        lambda: gen_fourier(8, 4, 8),
+        lambda: gen_fourier(9, 4, 9),
+        lambda: gen_fourier(5, 4, 301),
     ],
 )
 def test_profile_matches_all_roots_oracle(make, monkeypatch):
+    # odd and even N: at even N the offset n/2 holds half a row of pairs
     frame = build_frame(canonical_scale(make()))
     offsets = [(None, 0.0), (None, 0.7), (0.4, 0.3), (-math.inf, 0.0)]
     want = [_profile_all_roots(frame, t_bar, t) for t_bar, t in offsets]
-    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
+    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one offset per block
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
         got = [profile(frame, t_bar, t) for t_bar, t in offsets]
         assert got == want  # every field, min_z and min_z_pair too
+
+
+def _with_tied_pairs(tied, n):
+    """A chord/arc kernel for the profile's sweep that gives every pair of
+    ``tied`` the arc of the first one swept and a hundredth of it as its
+    chord, so that those pairs tie at the lowest Z and the highest a."""
+    put = {}  # offset -> the vertices its tied pairs are reached from
+    for i, j in tied:
+        k = min(j - i, n - (j - i))
+        put.setdefault(k, []).append(i if j - i == k else j)
+
+    def kernel(windows, length, k0, k1):
+        d, ell = _offset_chord_arc(windows, length, k0, k1)
+        for k, starts in sorted(put.items()):
+            if k0 <= k < k1:
+                for start in starts:
+                    pos = (k - k0) * n + start
+                    kernel.values = kernel.values or (0.01 * ell[pos], ell[pos])
+                    d[pos], ell[pos] = kernel.values
+        return d, ell
+
+    kernel.values = None
+    return kernel
+
+
+@pytest.mark.parametrize("block_pairs", [None, 1])
+def test_ties_across_the_wrap_go_to_the_first_pair(monkeypatch, block_pairs):
+    # at n = 64, pair (29, 63) is reached from vertex 63 at offset 30, after
+    # (33, 62) at offset 29 and (31, 61) at offset 30 have been swept; all
+    # three tie, and the first in triu order wins both the min of Z and the
+    # sup of a. With one offset per block the tie straddles two blocks; at
+    # the default size all the offsets share one block.
+    n = 64
+    frame = build_frame(canonical_scale(gen_ellipse(2.0, 1.0, n)))
+    if block_pairs is not None:
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+    tied = [(33, 62), (31, 61), (29, 63)]
+    kernel = _with_tied_pairs(tied, n)
+    monkeypatch.setattr(comparison, "_offset_chord_arc", kernel)
+    got = [profile(frame, t_bar, 0.3) for t_bar in (None, 0.4)]
+    # the oracle: the whole-range sweep with the same values at the same pairs
+    i_idx, j_idx, d, ell = all_pairs_chord_arc(frame)
+    ell = np.minimum(ell, math.pi)
+    for i, j in tied:
+        k = int(np.flatnonzero((i_idx == i) & (j_idx == j))[0])
+        d[k], ell[k] = kernel.values
+    arrays = (i_idx, j_idx, d, ell)
+    want = [_profile_all_roots(frame, t_bar, 0.3, arrays) for t_bar in (None, 0.4)]
+    assert got == want
+    for summary in got:
+        assert summary.min_z_pair == summary.attained == (29, 63)
+
+
+def test_profile_builds_no_pair_index_arrays(monkeypatch):
+    # call-count guard, no timing: the sweep reads strided windows, so it
+    # builds no ragged rows of pair indices and never calls the table's
+    # row-block kernel, and it takes one sin per block of offsets
+    frame = build_frame(canonical_scale(gen_dumbbell(0.2, 512)))
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(geometry, "_row_pairs", counting("rows", geometry._row_pairs))
+    for mod in (geometry, comparison):
+        monkeypatch.setattr(
+            mod, "all_pairs_chord_arc", counting("table", all_pairs_chord_arc)
+        )
+    monkeypatch.setattr(np, "sin", counting("sin", np.sin))
+    for block_pairs in (comparison._BLOCK_PAIRS, 1, 7 * 512):
+        monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
+        per = max(1, block_pairs // 512)
+        blocks = -(-256 // per)
+        for t_bar, sweeps in ((0.4, 1), (None, 2)):
+            calls.clear()
+            assert profile(frame, t_bar, 0.3).n_active > 0
+            assert calls == {"sin": sweeps * blocks}
 
 
 def test_profile_solves_roots_for_under_one_percent_of_active_pairs(monkeypatch):
@@ -873,7 +1015,7 @@ def test_profile_solves_roots_in_one_call(make, monkeypatch):
 
     frame = build_frame(canonical_scale(make()))
     monkeypatch.setattr(comparison, "_a_root", counting)
-    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one row per block
+    for block_pairs in (comparison._BLOCK_PAIRS, 1):  # 1: one offset per block
         monkeypatch.setattr(comparison, "_BLOCK_PAIRS", block_pairs)
         for t_bar in (None, 0.4):
             calls.clear()
@@ -882,7 +1024,7 @@ def test_profile_solves_roots_in_one_call(make, monkeypatch):
 
 
 def test_profile_memory_stays_bounded_at_n_2048():
-    # memory guard, no timing: the sweep holds one row block of pairs at a
+    # memory guard, no timing: the sweep holds one block of offsets at a
     # time, where whole-range arrays of 2,096,128 pairs peaked near 150 MiB
     frame = build_frame(canonical_scale(gen_dumbbell(0.2, 2048)))
     tracemalloc.start()

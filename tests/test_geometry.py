@@ -218,9 +218,13 @@ def test_all_pairs_row_blocks_concatenate_to_whole_range(n):
     ii, jj = np.triu_indices(n, k=1)
     assert np.array_equal(whole[0], ii) and np.array_equal(whole[1], jj)
     assert whole[0].dtype == ii.dtype and whole[1].dtype == jj.dtype
-    # the (N, 2) gather of the vertex rows, bit for bit
+    # the (N, 2) gather of the vertex rows, bit for bit, in the sqrt form
     diff = frame.vertices[jj] - frame.vertices[ii]
-    assert np.array_equal(whole[2], np.hypot(diff[:, 0], diff[:, 1]))
+    dx, dy = diff[:, 0], diff[:, 1]
+    assert np.array_equal(whole[2], np.sqrt(dx * dx + dy * dy))
+    # which lies within one ulp of hypot on a canonical curve
+    hyp = np.hypot(dx, dy)
+    assert np.all(np.abs(whole[2] - hyp) <= np.spacing(hyp))
     rng = np.random.default_rng(n)
     tilings = [
         list(range(n + 1)),  # one row per block, and the empty last row
@@ -524,6 +528,27 @@ def test_json_writer_matches_per_vertex_writer_byte_for_byte(tmp_path, name):
     assert path.read_bytes() == _json_text_per_vertex(curve).encode()
 
 
+def _csv_text_per_vertex(curve: DiscreteCurve) -> str:
+    """save_curve's CSV text as first written, two _fmt calls per row."""
+    fmt = geometry._fmt
+    return "".join(f"{fmt(x)},{fmt(y)}\n" for x, y in curve.vertices)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_curve_files_match_the_per_value_writer_on_random_curves(tmp_path, seed):
+    # signs, magnitudes from 1e-8 to 1e20 and exact zeros of both signs
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 600))
+    v = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 21, (n, 2))
+    v[rng.random((n, 2)) < 0.05] = 0.0
+    v[rng.random((n, 2)) < 0.05] = -0.0
+    curve = DiscreteCurve(v, name=f"random {seed}" if seed % 2 else None)
+    for ext, oracle in (("json", _json_text_per_vertex), ("csv", _csv_text_per_vertex)):
+        path = tmp_path / f"curve.{ext}"
+        save_curve(curve, path)
+        assert path.read_bytes() == oracle(curve).encode()
+
+
 def test_load_rejects_malformed_files(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(CurveFormatError):
@@ -582,8 +607,8 @@ def _check_fmt_rows(values, monkeypatch, widths=(1, 3)):
     with the values laid out in rows of each width."""
     values = np.asarray(values, dtype=float)
     texts = ["%.17g" % x for x in values.tolist()]
-    # scientific notation, a sign (-0 too), nan or inf
-    fallbacks = sum(1 for t in texts if "e" in t or "n" in t or t[0] == "-")
+    # scientific notation, nan or inf, of either sign
+    fallbacks = sum(1 for t in texts if "e" in t or "n" in t)
     for cols in widths:
         pad = -values.size % cols
         rows = np.concatenate([values, np.ones(pad)]).reshape(-1, cols)
@@ -603,7 +628,7 @@ def _check_fmt_rows(values, monkeypatch, widths=(1, 3)):
     bits=st.lists(
         st.one_of(
             st.integers(0, 2**64 - 1),  # any double: +-0, subnormal, nan, +-inf
-            st.floats(1e-6, 2e17).map(lambda x: int(np.float64(x).view(np.uint64))),
+            st.floats(-2e17, 2e17).map(lambda x: int(np.float64(x).view(np.uint64))),
         ),
         min_size=1,
         max_size=40,
@@ -643,7 +668,11 @@ def test_fmt_rows_matches_percent_17g_at_ties_and_powers_of_ten(monkeypatch):
     values = np.concatenate(
         [ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), powers]
     )
-    _check_fmt_rows(values, monkeypatch)
+    # and all of them negated: the array path writes the sign itself, also
+    # of -0 and of the tiny and huge negatives it hands on
+    extremes = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    extremes = np.array(extremes)
+    _check_fmt_rows(np.concatenate([values, -values, extremes, -extremes]), monkeypatch)
 
 
 def test_fmt_rows_of_no_rows_is_empty():

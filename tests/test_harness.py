@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import types
 import warnings
 from pathlib import Path
 
@@ -225,6 +226,34 @@ def test_series_csv_contents(small_run):
     assert float(first[7]) == 0.0  # sup a on a circle
     assert float(first[8]) == -math.inf
     assert math.isfinite(float(first[10]))
+
+
+def _series_text_per_value(measures) -> str:
+    """write_series_csv's text as first written: str() of the step and one
+    _fmt call per value."""
+    cols = [getattr(measures, c) for c in harness._SERIES_COLUMNS]
+    lines = [SERIES_HEADER]
+    for i, step in enumerate(measures.step):
+        lines.append(",".join([str(step)] + [geometry._fmt(c[i]) for c in cols]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_series_csv_matches_the_per_value_writer_on_random_columns(tmp_path, seed):
+    # both signs, 1e-8 to 1e20, zeros of either sign, nan and +-inf
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 300))
+    cols = {}
+    for name in harness._SERIES_COLUMNS:
+        col = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 21, rows)
+        for value in (0.0, -0.0, math.nan, math.inf, -math.inf):
+            col[rng.random(rows) < 0.03] = value
+        cols[name] = col
+    steps = np.sort(rng.choice(10**6, rows, replace=False))
+    result = types.SimpleNamespace(measures=types.SimpleNamespace(step=steps, **cols))
+    path = tmp_path / "series.csv"
+    harness.write_series_csv(result, path)
+    assert path.read_bytes() == _series_text_per_value(result.measures).encode()
 
 
 def test_execute_wires_results(small_run):
